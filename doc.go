@@ -11,7 +11,9 @@
 //   - internal/wire, internal/server, internal/client: the live TCP
 //     system — protocol, memory-donor daemon, and the pager with all
 //     five reliability policies, crash recovery and migration;
-//   - internal/parity: the parity-logging bookkeeping;
+//   - internal/parity, internal/rs: the log-structured stripe engine's
+//     bookkeeping and its parity codec — parity logging is its shape
+//     (S,1), RS(k,m) erasure coding its shape (k,m);
 //   - internal/vm, internal/blockdev, internal/disk: the demand-paged
 //     address space, the block-device boundary, and the local swap;
 //   - internal/apps: the paper's six benchmark applications;

@@ -107,6 +107,65 @@ func TestDoubleCrashParityLogging(t *testing.T) {
 	}
 }
 
+// TestParityLogJoinRestoresWidth: the log engine's one join rule, under
+// PARITY_LOGGING. A crash narrows the 3+1 stripe to 2+1 and its writes
+// are counted degraded, never denied; a server joining while the
+// layout is narrower than its shape re-plans at once, back to 3+1; a
+// server joining a layout at its shape is left out as a spare.
+func TestParityLogJoinRestoresWidth(t *testing.T) {
+	c := newCluster(t, 4, 1024)
+	p := c.pager(client.PolicyParityLogging)
+	const n = 24
+	write := func(base uint64) {
+		t.Helper()
+		for i := uint64(0); i < n; i++ {
+			if err := p.PageOut(page.ID(i), mkPage(base+i)); err != nil {
+				t.Fatalf("pageout %d: %v", i, err)
+			}
+		}
+	}
+	join := func(name string) *server.Server {
+		t.Helper()
+		srv := c.addServer(server.Config{Name: name, CapacityPages: 1024, OverflowFrac: 0.10})
+		if err := p.AddServer(c.addrs[len(c.addrs)-1]); err != nil {
+			t.Fatalf("join %s: %v", name, err)
+		}
+		return srv
+	}
+
+	write(0)
+	if d := p.Stats().DegradedWrites; d != 0 {
+		t.Fatalf("DegradedWrites = %d at full width", d)
+	}
+	c.crash(1)
+	write(100)
+	narrowed := p.Stats().DegradedWrites
+	if narrowed == 0 {
+		t.Fatal("writes through the narrowed stripe not counted degraded")
+	}
+
+	first := join("srv4")
+	write(200)
+	if d := p.Stats().DegradedWrites; d != narrowed {
+		t.Fatalf("writes still degraded after the join: %d -> %d", narrowed, d)
+	}
+	if first.Store().Len() == 0 {
+		t.Fatal("the joiner took no column although the stripe was narrower than its shape")
+	}
+
+	spare := join("srv5")
+	write(300)
+	if got := spare.Store().Len(); got != 0 {
+		t.Fatalf("a joiner to a full-width layout was handed %d pages", got)
+	}
+	for i := uint64(0); i < n; i++ {
+		got, err := p.PageIn(page.ID(i))
+		if err != nil || got.Checksum() != mkPage(300+i).Checksum() {
+			t.Fatalf("pagein %d: %v", i, err)
+		}
+	}
+}
+
 // TestAllServersCrashParityLogging: with every server gone, new
 // pageouts fall back to the local disk and remain readable.
 func TestAllServersCrashParityLogging(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"rmp/internal/disk"
 	"rmp/internal/membership"
 	"rmp/internal/page"
+	"rmp/internal/rs"
 	"rmp/internal/wire"
 )
 
@@ -33,6 +34,7 @@ const (
 	// PolicyParityLogging is the paper's contribution: round-robin
 	// placement into fresh parity groups with a client-side parity
 	// buffer. 1+1/S transfers per pageout, 1+1/S memory plus overflow.
+	// It is the log engine (policy_log.go) at shape (S, 1).
 	PolicyParityLogging
 	// PolicyWriteThrough stores one remote copy and writes every page
 	// to the local disk in parallel (§4.7), treating remote memory as
@@ -41,7 +43,8 @@ const (
 	// PolicyRS stripes pageouts into Reed-Solomon RS(k,m) groups: k
 	// data shards on k servers plus m parity shards on m more. Any m
 	// simultaneous crashes are survivable; (k+m)/k transfers and
-	// memory per pageout, amortized. See policy_rs.go.
+	// memory per pageout, amortized. It is the log engine
+	// (policy_log.go) at shape (k, m).
 	PolicyRS
 )
 
@@ -222,8 +225,8 @@ type Stats struct {
 	// crash loses pages.
 	ExposureAtTol [5]time.Duration
 
-	// Degraded-mode counters (PolicyRS).
-	DegradedWrites  uint64 // pageouts accepted at reduced RS geometry
+	// Degraded-mode counters (the log engine: PolicyParityLogging, PolicyRS).
+	DegradedWrites  uint64 // pageouts accepted at a layout narrower than the policy's shape
 	PolicyFallbacks uint64 // policy constructions that fell back (RS -> write-through)
 
 	// Bounded-data-path counters (retry layer, see retry.go).
@@ -477,7 +480,13 @@ func (p *Pager) newPolicy() (policyImpl, error) {
 		if len(alive) < 2 {
 			return nil, errors.New("client: parity logging needs >= 1 data server + 1 parity server")
 		}
-		return newParityLogPolicy(p)
+		// Every server alive now but one is a data column; the last
+		// holds the XOR parity.
+		k := len(alive) - 1
+		if k > rs.MaxShards-1 {
+			k = rs.MaxShards - 1
+		}
+		return newLogPolicy(p, k, 1)
 	case PolicyWriteThrough:
 		if len(alive) < 1 {
 			return nil, errors.New("client: write-through needs >= 1 reachable server")
@@ -495,7 +504,14 @@ func (p *Pager) newPolicy() (policyImpl, error) {
 			p.stats.PolicyFallbacks++
 			return &writeThroughPolicy{p: p}, nil
 		}
-		return newRSPolicy(p)
+		k, m := p.cfg.RSDataShards, p.cfg.RSParityShards
+		if k <= 0 {
+			k = 4
+		}
+		if m <= 0 {
+			m = 2
+		}
+		return newLogPolicy(p, k, m)
 	default:
 		return nil, fmt.Errorf("client: unknown policy %v", p.cfg.Policy)
 	}

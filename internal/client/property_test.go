@@ -59,48 +59,99 @@ func fillPage(fill uint64) page.Buf {
 	return p
 }
 
-// runPropCase drives one scenario against a fresh cluster: replay the
-// writes, crash the victim, and verify every surviving key reads back
-// byte-identical to its last written value.
-func runPropCase(t *testing.T, pol client.Policy, c propCase) {
-	t.Helper()
-	cl := newCluster(t, c.servers, 4096)
-	p := cl.pager(pol)
-	for _, w := range c.writes {
-		if err := p.PageOut(w.id, fillPage(w.fill)); err != nil {
-			t.Fatalf("seed %d: pageout %d: %v", c.seed, w.id, err)
-		}
-	}
-	cl.crash(c.victim)
-	if err := chaos.NoLostPage(c.want(), p.PageIn); err != nil {
-		t.Fatalf("seed %d after crash of server %d: %v", c.seed, c.victim, err)
-	}
-	// The pager itself must agree nothing was lost.
-	if r := p.Redundancy(); r.Lost != 0 {
-		t.Fatalf("seed %d: Redundancy reports %d lost pages", c.seed, r.Lost)
-	}
+// crashProp is one row of the crash-property table: a policy, the
+// cluster it runs on, and how many servers it promises to survive
+// losing in the same instant.
+type crashProp struct {
+	name      string
+	pol       client.Policy
+	servers   int
+	tolerance int
 }
 
-// TestPropertySingleCrashReconstruction: for each single-failure
-// policy, many seeded random workloads each survive one random server
-// death with byte-identical reconstruction.
-func TestPropertySingleCrashReconstruction(t *testing.T) {
-	cases := []struct {
-		pol     client.Policy
-		servers int
-	}{
-		{client.PolicyMirroring, 3},
-		{client.PolicyParity, 4},
-		{client.PolicyParityLogging, 4},
-		{client.PolicyRS, 6},
+// crashProps: the in-place policies and the two shapes of the log
+// engine — the paper's parity logging, (3,1) on four servers, and
+// RS(4,2) on six.
+var crashProps = []crashProp{
+	{"MIRRORING", client.PolicyMirroring, 3, 1},
+	{"PARITY", client.PolicyParity, 4, 1},
+	{"PARITY_LOGGING", client.PolicyParityLogging, 4, 1},
+	{"RS(4,2)", client.PolicyRS, 6, 2},
+}
+
+// runKillProp is the one body of the crash properties: a seeded random
+// write workload (keys rewritten, so reconstruction must return the
+// LAST value), then kills servers dying in the same kill-set tick —
+// connections severed mid-stream, before the pager has noticed any of
+// them — then a full audit.
+//
+// Within the policy's tolerance every page must read back
+// byte-identical, the pager must agree nothing was lost, and the
+// shrunken cluster must stay writable. Past it the policy must fail
+// closed: every read returns the exact last-written bytes or a clean
+// error, and the pager accounts what it lost. Returns how many reads
+// failed.
+func runKillProp(t *testing.T, tc crashProp, seed int64, kills int) (lostReads int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	writes := genWrites(rng)
+	cl := newCluster(t, tc.servers, 4096)
+	cfg := cl.config(tc.pol)
+	cfg.RSDataShards, cfg.RSParityShards = 4, 2 // read by PolicyRS alone
+	p := cl.pagerWith(cfg)
+	for _, w := range writes {
+		if err := p.PageOut(w.id, fillPage(w.fill)); err != nil {
+			t.Fatalf("seed %d: pageout %d: %v", seed, w.id, err)
+		}
 	}
+	victims := chaos.NewKillSet(seed, kills, cl.killTargets()...).KillExactly(kills)
+
+	if kills <= tc.tolerance {
+		if err := chaos.NoLostPage(lastWrites(writes), p.PageIn); err != nil {
+			t.Fatalf("seed %d after killing %v: %v", seed, victims, err)
+		}
+		if r := p.Redundancy(); r.Lost != 0 {
+			t.Fatalf("seed %d: Redundancy reports %d lost pages", seed, r.Lost)
+		}
+		if err := p.PageOut(page.ID(9000), fillPage(uint64(seed))); err != nil {
+			t.Fatalf("seed %d: pageout denied after killing %v: %v", seed, victims, err)
+		}
+		if got, err := p.PageIn(page.ID(9000)); err != nil ||
+			got.Checksum() != fillPage(uint64(seed)).Checksum() {
+			t.Fatalf("seed %d: post-crash write unreadable: %v", seed, err)
+		}
+		return 0
+	}
+
+	for id, fill := range lastWrites(writes) {
+		got, err := p.PageIn(id)
+		if err != nil {
+			lostReads++ // clean failure: acceptable past tolerance
+			continue
+		}
+		if got.Checksum() != fillPage(fill).Checksum() {
+			t.Fatalf("seed %d: page %d read back garbage after killing %v", seed, id, victims)
+		}
+	}
+	// Whatever was unreadable must be accounted as lost, not silently
+	// dropped.
+	if lostReads > 0 && p.Redundancy().Lost == 0 && p.Stats().LostPages == 0 {
+		t.Fatalf("seed %d: %d reads failed but no loss accounted", seed, lostReads)
+	}
+	return lostReads
+}
+
+// TestPropertySingleCrashReconstruction: for every redundancy policy,
+// many seeded random workloads each survive one random server death
+// with byte-identical reconstruction.
+func TestPropertySingleCrashReconstruction(t *testing.T) {
 	const rounds = 12
-	for _, tc := range cases {
-		t.Run(tc.pol.String(), func(t *testing.T) {
+	for _, tc := range crashProps {
+		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= rounds; seed++ {
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					t.Parallel()
-					runPropCase(t, tc.pol, genCase(seed, tc.servers))
+					runKillProp(t, tc, seed, 1)
 				})
 			}
 		})
@@ -207,105 +258,43 @@ func lastWrites(writes []propWrite) map[page.ID]uint64 {
 	return m
 }
 
-// TestPropertyRSMultiCrashReconstruction: RS(4,2) under a seeded
-// random workload survives a correlated kill-set tick — a random set
-// of j ≤ m = 2 servers crashing in the same instant, connections
-// severed mid-stream — with every page reading back byte-identical to
-// its last written value, and the cluster still writable afterwards.
+// TestPropertyRSMultiCrashReconstruction: the rows that promise more
+// than one crash — RS(4,2) — survive a correlated kill of up to m
+// servers in the same instant, every page byte-identical, the cluster
+// still writable afterwards.
 func TestPropertyRSMultiCrashReconstruction(t *testing.T) {
 	const rounds = 10
-	for seed := int64(1); seed <= rounds; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			writes := genWrites(rng)
-			cl := newCluster(t, 6, 4096)
-			p := cl.pagerWith(rsConfig(cl, 4, 2))
-			for _, w := range writes {
-				if err := p.PageOut(w.id, fillPage(w.fill)); err != nil {
-					t.Fatalf("seed %d: pageout %d: %v", seed, w.id, err)
-				}
-			}
-
-			ks := chaos.NewKillSet(seed, 2, cl.killTargets()...)
-			victims := ks.Tick()
-			if len(victims) < 1 || len(victims) > 2 {
-				t.Fatalf("seed %d: kill-set tick killed %v", seed, victims)
-			}
-
-			if err := chaos.NoLostPage(lastWrites(writes), p.PageIn); err != nil {
-				t.Fatalf("seed %d after killing %v: %v", seed, victims, err)
-			}
-			if r := p.Redundancy(); r.Lost != 0 {
-				t.Fatalf("seed %d: Redundancy reports %d lost pages", seed, r.Lost)
-			}
-			// Still writable on the shrunken cluster.
-			if err := p.PageOut(page.ID(9000), fillPage(uint64(seed))); err != nil {
-				t.Fatalf("seed %d: pageout denied after killing %v: %v",
-					seed, victims, err)
-			}
-			if got, err := p.PageIn(page.ID(9000)); err != nil ||
-				got.Checksum() != fillPage(uint64(seed)).Checksum() {
-				t.Fatalf("seed %d: post-crash write unreadable: %v", seed, err)
+	for _, tc := range crashProps {
+		if tc.tolerance < 2 {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= rounds; seed++ {
+				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+					t.Parallel()
+					runKillProp(t, tc, seed, 1+int(seed)%tc.tolerance)
+				})
 			}
 		})
 	}
 }
 
-// TestPropertyFailClosedBeyondTolerance: the single-failure policies
-// pushed past their tolerance — two servers killed in the same
-// kill-set tick — must fail closed: every read either returns the
-// exact last-written bytes or a clean error. Garbage never reaches
-// the application, and the pager itself accounts the loss.
+// TestPropertyFailClosedBeyondTolerance: every policy pushed one crash
+// past its tolerance must fail closed. Garbage never reaches the
+// application, and the pager itself accounts the loss.
 func TestPropertyFailClosedBeyondTolerance(t *testing.T) {
-	cases := []struct {
-		pol     client.Policy
-		servers int
-	}{
-		{client.PolicyMirroring, 3},
-		{client.PolicyParity, 4},
-		{client.PolicyParityLogging, 4},
-	}
 	const rounds = 6
-	for _, tc := range cases {
-		t.Run(tc.pol.String(), func(t *testing.T) {
+	for _, tc := range crashProps {
+		t.Run(tc.name, func(t *testing.T) {
 			lostReads := 0
 			for seed := int64(1); seed <= rounds; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				writes := genWrites(rng)
-				cl := newCluster(t, tc.servers, 4096)
-				p := cl.pagerWith(cl.config(tc.pol))
-				for _, w := range writes {
-					if err := p.PageOut(w.id, fillPage(w.fill)); err != nil {
-						t.Fatalf("seed %d: pageout %d: %v", seed, w.id, err)
-					}
-				}
-
-				ks := chaos.NewKillSet(seed, 2, cl.killTargets()...)
-				victims := ks.KillExactly(2)
-				for id, fill := range lastWrites(writes) {
-					got, err := p.PageIn(id)
-					if err != nil {
-						lostReads++ // clean failure: acceptable past tolerance
-						continue
-					}
-					if got.Checksum() != fillPage(fill).Checksum() {
-						t.Fatalf("seed %d: page %d read back garbage after killing %v",
-							seed, id, victims)
-					}
-				}
-				// Whatever was unreadable must be accounted as lost, not
-				// silently dropped.
-				if lost := p.Redundancy().Lost; lostReads > 0 && lost == 0 &&
-					p.Stats().LostPages == 0 {
-					t.Fatalf("seed %d: reads failed but no loss accounted", seed)
-				}
+				lostReads += runKillProp(t, tc, seed, tc.tolerance+1)
 			}
-			// Two simultaneous crashes exceed tolerance=1: across the
-			// rounds at least one page must actually have been lost, or
-			// the property never exercised the fail-closed path.
+			// Across the rounds at least one page must actually have
+			// been lost, or the property never exercised the fail-closed
+			// path.
 			if lostReads == 0 {
-				t.Fatalf("no page was ever lost across %d double-crash rounds", rounds)
+				t.Fatalf("no page was ever lost across %d rounds of %d simultaneous crashes", rounds, tc.tolerance+1)
 			}
 		})
 	}

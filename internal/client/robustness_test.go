@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -250,6 +251,115 @@ func TestCorruptResponsesReconstructed(t *testing.T) {
 				if err != nil || got.Checksum() != mkPage(i).Checksum() {
 					t.Fatalf("pagein %d after heal: %v", i, err)
 				}
+			}
+		})
+	}
+}
+
+// TestLogRebuildThroughUnreadableColumn: one data column of a log
+// layout answers every read with a corrupted page. A rebuild that
+// loses no server (the evacuation of another, pressured one) must
+// decode that column's pages from their groups and hand every page
+// back byte-identical; a rebuild after further columns die, putting
+// the groups past their tolerance, must mark what it cannot decode as
+// lost — ErrPageLost and counted in Redundancy, never forgotten.
+func TestLogRebuildThroughUnreadableColumn(t *testing.T) {
+	cases := []struct {
+		pol     client.Policy
+		servers int
+		kill    []int // with column 0 unreadable, one column too many
+	}{
+		{client.PolicyParityLogging, 5, []int{1}},
+		{client.PolicyRS, 6, []int{1, 2}},
+	}
+	const n = 26 // sealed groups of four plus an open group of two
+	setup := func(t *testing.T, pol client.Policy, servers int) (*proxiedCluster, *client.Pager) {
+		pc := newProxiedCluster(t, servers, 512)
+		p, err := client.New(client.Config{
+			ClientName: "unreadable-column-test",
+			Servers:    pc.via,
+			Policy:     pol,
+			Dial:       pc.net.DialTimeout,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		for i := uint64(0); i < n; i++ {
+			if err := p.PageOut(page.ID(i), mkPage(i)); err != nil {
+				t.Fatalf("pageout %d: %v", i, err)
+			}
+		}
+		pc.proxies[0].CorruptResponses(1)
+		return pc, p
+	}
+	for _, tc := range cases {
+		t.Run(tc.pol.String()+"/evacuate", func(t *testing.T) {
+			t.Parallel()
+			pc, p := setup(t, tc.pol, tc.servers)
+			pc.servers[3].SetPressure(true)
+			if err := p.Rebalance(); err != nil {
+				t.Fatalf("rebalance: %v", err)
+			}
+			if got := pc.servers[3].Store().Len(); got != 0 {
+				t.Fatalf("pressured server still holds %d pages after rebalance", got)
+			}
+			st := p.Stats()
+			if st.Recovered == 0 {
+				t.Error("no page was decoded although a whole column was unreadable")
+			}
+			if r := p.Redundancy(); st.LostPages != 0 || r.Lost != 0 {
+				t.Fatalf("rebuild within tolerance lost pages: LostPages=%d Redundancy=%+v", st.LostPages, r)
+			}
+			pc.proxies[0].CorruptResponses(0)
+			for i := uint64(0); i < n; i++ {
+				got, err := p.PageIn(page.ID(i))
+				if err != nil || got.Checksum() != mkPage(i).Checksum() {
+					t.Fatalf("pagein %d after the rebuild: %v", i, err)
+				}
+			}
+		})
+		t.Run(tc.pol.String()+"/past-tolerance", func(t *testing.T) {
+			t.Parallel()
+			pc, p := setup(t, tc.pol, tc.servers)
+			for _, srv := range tc.kill {
+				pc.kill(srv)
+			}
+			lost := 0
+			for i := uint64(0); i < n; i++ {
+				got, err := p.PageIn(page.ID(i))
+				switch {
+				case err == nil:
+					if got.Checksum() != mkPage(i).Checksum() {
+						t.Fatalf("pagein %d returned garbage instead of an error", i)
+					}
+				case errors.Is(err, client.ErrPageLost):
+					lost++
+				default:
+					t.Fatalf("pagein %d: %v, want the page or ErrPageLost", i, err)
+				}
+			}
+			if lost == 0 {
+				t.Fatal("groups past their tolerance lost nothing")
+			}
+			if r := p.Redundancy(); r.Lost != lost {
+				t.Fatalf("Redundancy counts %d lost pages, %d reads answered ErrPageLost", r.Lost, lost)
+			}
+			// A lost page the application writes again is a page again.
+			for i := uint64(0); i < n; i++ {
+				if _, err := p.PageIn(page.ID(i)); err == nil {
+					continue
+				}
+				if err := p.PageOut(page.ID(i), mkPage(i+500)); err != nil {
+					t.Fatalf("pageout of lost page %d: %v", i, err)
+				}
+				if got, err := p.PageIn(page.ID(i)); err != nil || got.Checksum() != mkPage(i+500).Checksum() {
+					t.Fatalf("pagein of rewritten page %d: %v", i, err)
+				}
+				if r := p.Redundancy(); r.Lost != lost-1 {
+					t.Fatalf("Redundancy still counts %d lost after one of %d was rewritten", r.Lost, lost)
+				}
+				break
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package parity
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -13,18 +14,23 @@ func mkPage(seed uint64) page.Buf {
 	return p
 }
 
-func mustLog(t *testing.T, s int) *Log {
+func mustLog(t *testing.T, s int) *Log { return mustShaped(t, s, 1) }
+
+func mustShaped(t *testing.T, k, m int) *Log {
 	t.Helper()
-	l, err := NewLog(s)
+	l, err := NewShapedLog(k, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return l
 }
 
-func TestNewLogRejectsZeroWidth(t *testing.T) {
+func TestNewLogRejectsBadShape(t *testing.T) {
 	if _, err := NewLog(0); err == nil {
 		t.Fatal("NewLog(0) succeeded")
+	}
+	if _, err := NewShapedLog(4, 0); err == nil {
+		t.Fatal("NewShapedLog(4, 0) succeeded")
 	}
 }
 
@@ -59,33 +65,39 @@ func TestSealAfterSAppends(t *testing.T) {
 	}
 	// Parity must equal XOR of the three pages.
 	want := page.XOR(page.XOR(mkPage(0), mkPage(1)), mkPage(2))
-	if sealed.Data.Checksum() != want.Checksum() {
+	if len(sealed.Data) != 1 || sealed.Data[0].Checksum() != want.Checksum() {
 		t.Fatal("sealed parity != XOR of members")
+	}
+	if sealed.Slots[0].Column != 3 {
+		t.Fatalf("parity shard on column %d, want 3", sealed.Slots[0].Column)
 	}
 	if l.Stats().Seals != 1 {
 		t.Fatal("seal not counted")
 	}
 }
 
-func TestTransferOverheadIsOnePlusOneOverS(t *testing.T) {
+func TestTransferOverheadIsOnePlusMOverK(t *testing.T) {
 	// The headline property (§2.2): parity logging costs 1 + 1/S
-	// transfers per pageout.
-	const S, outs = 4, 100
-	l := mustLog(t, S)
-	transfers := 0
-	for i := 0; i < outs; i++ {
-		_, sealed, _, err := l.Append(page.ID(i%10), mkPage(uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		transfers++
-		if sealed != nil {
+	// transfers per pageout; with m parity shards per group, 1 + m/k.
+	for _, shape := range [][2]int{{4, 1}, {4, 2}} {
+		k, m := shape[0], shape[1]
+		const outs = 100
+		l := mustShaped(t, k, m)
+		transfers := 0
+		for i := 0; i < outs; i++ {
+			_, sealed, _, err := l.Append(page.ID(i%10), mkPage(uint64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
 			transfers++
+			if sealed != nil {
+				transfers += len(sealed.Data)
+			}
 		}
-	}
-	want := outs + outs/S
-	if transfers != want {
-		t.Fatalf("%d transfers for %d pageouts, want %d (1+1/S)", transfers, outs, want)
+		want := outs + outs/k*m
+		if transfers != want {
+			t.Fatalf("(%d,%d): %d transfers for %d pageouts, want %d (1+m/k)", k, m, transfers, outs, want)
+		}
 	}
 }
 
@@ -124,7 +136,7 @@ func TestRepageoutMarksInactiveAndReclaims(t *testing.T) {
 	}
 	paritySlots := 0
 	for _, s := range recs[0].Slots {
-		if s.Column == ParityColumn {
+		if s.Column >= l.K() {
 			paritySlots++
 		}
 	}
@@ -181,46 +193,30 @@ func TestVersionsStoredCountsOverflow(t *testing.T) {
 	}
 }
 
-// memCluster simulates S data servers plus a parity server as maps,
-// exercising the full placement/seal/reclaim/recovery protocol the
-// pager would run.
+// memCluster simulates the k data servers and m parity servers of one
+// layout as maps, exercising the full placement/seal/reclaim/recovery
+// protocol the pager would run.
 type memCluster struct {
 	l       *Log
-	cols    []map[uint64]page.Buf // data columns
-	parity  map[uint64]page.Buf
+	cols    []map[uint64]page.Buf // one per log column, data then parity
 	t       *testing.T
 	content map[page.ID]page.Buf // ground truth of live pages
 }
 
-func newMemCluster(t *testing.T, s int) *memCluster {
+func newMemCluster(t *testing.T, k, m int) *memCluster {
 	mc := &memCluster{
-		l:       mustLog(t, s),
-		parity:  make(map[uint64]page.Buf),
+		l:       mustShaped(t, k, m),
 		t:       t,
 		content: make(map[page.ID]page.Buf),
 	}
-	for i := 0; i < s; i++ {
+	for i := 0; i < k+m; i++ {
 		mc.cols = append(mc.cols, make(map[uint64]page.Buf))
 	}
 	return mc
 }
 
-func (mc *memCluster) store(ck ColumnKey, data page.Buf) {
-	if ck.Column == ParityColumn {
-		mc.parity[ck.Key] = data.Clone()
-	} else {
-		mc.cols[ck.Column][ck.Key] = data.Clone()
-	}
-}
-
 func (mc *memCluster) fetch(ck ColumnKey) page.Buf {
-	var m map[uint64]page.Buf
-	if ck.Column == ParityColumn {
-		m = mc.parity
-	} else {
-		m = mc.cols[ck.Column]
-	}
-	p, ok := m[ck.Key]
+	p, ok := mc.cols[ck.Column][ck.Key]
 	if !ok {
 		mc.t.Fatalf("fetch: missing slot %+v", ck)
 	}
@@ -232,36 +228,37 @@ func (mc *memCluster) pageout(id page.ID, data page.Buf) {
 	if err != nil {
 		mc.t.Fatal(err)
 	}
-	mc.store(ColumnKey{pl.Column, pl.Key}, data)
+	mc.cols[pl.Column][pl.Key] = data.Clone()
 	if sealed != nil {
-		mc.store(ColumnKey{ParityColumn, sealed.Key}, sealed.Data)
+		for j, s := range sealed.Slots {
+			mc.cols[s.Column][s.Key] = sealed.Data[j].Clone()
+		}
 	}
 	for _, r := range recs {
 		for _, s := range r.Slots {
-			if s.Column == ParityColumn {
-				delete(mc.parity, s.Key)
-			} else {
-				delete(mc.cols[s.Column], s.Key)
-			}
+			delete(mc.cols[s.Column], s.Key)
 		}
 	}
 	mc.content[id] = data.Clone()
 }
 
-// crashAndRecover wipes column col, runs the recovery protocol, and
-// verifies every live page is still reachable with correct contents.
-func (mc *memCluster) crashAndRecover(col int) {
-	plan, err := mc.l.PlanRecovery(col)
+// crashAndRecover wipes the dead columns, reconstructs what they held,
+// checks every live page against ground truth, and then does what the
+// pager does: replays everything into a fresh log.
+func (mc *memCluster) crashAndRecover(dead ...int) {
+	isDead := func(c int) bool { return containsInt(dead, c) }
+	plan, err := mc.l.PlanRecovery(dead...)
 	if err != nil {
 		mc.t.Fatal(err)
 	}
-	// Reconstruct lost pages from survivors (the dead column's map is
-	// conceptually gone; survivors never reference it).
+	for _, c := range dead {
+		mc.cols[c] = make(map[uint64]page.Buf) // the crash
+	}
 	rebuilt := make(map[page.ID]page.Buf)
 	for _, lp := range plan.Lost {
 		var pages []page.Buf
 		for _, ck := range lp.Survivors {
-			if ck.Column == col {
+			if isDead(ck.Column) {
 				mc.t.Fatalf("recovery plan references crashed column: %+v", ck)
 			}
 			pages = append(pages, mc.fetch(ck))
@@ -272,50 +269,44 @@ func (mc *memCluster) crashAndRecover(col int) {
 		}
 		rebuilt[lp.Page] = data
 	}
-	// Read re-home pages from healthy columns before mutating the log.
-	rehome := make(map[page.ID]page.Buf)
-	for _, id := range plan.Rehome {
-		ck, ok := mc.l.Lookup(id)
-		if !ok {
-			mc.t.Fatalf("rehome page %v not live", id)
-		}
-		if ck.Column == col {
-			mc.t.Fatalf("rehome page %v lives on crashed column", id)
-		}
-		rehome[id] = mc.fetch(ck)
-	}
-	mc.cols[col] = make(map[uint64]page.Buf) // the crash
-	mc.l.AbandonOpenGroup()
-	// Re-append: reconstructed pages and re-homed pages. Note the log
-	// still has width S; in the real pager a replacement server (or a
-	// shrunken column set via a fresh log) takes over the column.
-	for id, data := range rebuilt {
-		mc.pageout(id, data)
-	}
-	for id, data := range rehome {
-		mc.pageout(id, data)
-	}
-	mc.verify(col)
-}
-
-// verify checks every live page against ground truth, fetching via
-// the log's lookup; pages on skipCol would have been lost.
-func (mc *memCluster) verify(skipCol int) {
+	fresh := newMemCluster(mc.t, mc.l.K(), mc.l.M())
 	for id, want := range mc.content {
 		ck, ok := mc.l.Lookup(id)
 		if !ok {
 			mc.t.Fatalf("page %v lost from log", id)
 		}
-		got := mc.fetch(ck)
+		got, ok := rebuilt[id]
+		if isDead(ck.Column) != ok {
+			mc.t.Fatalf("page %v on column %d: planned for rebuild = %v", id, ck.Column, ok)
+		}
+		if !ok {
+			got = mc.fetch(ck)
+		}
 		if got.Checksum() != want.Checksum() {
-			mc.t.Fatalf("page %v content mismatch after recovery", id)
+			mc.t.Fatalf("page %v content mismatch after losing columns %v", id, dead)
+		}
+		fresh.pageout(id, got)
+	}
+	*mc = *fresh
+	mc.verify()
+}
+
+// verify checks every live page against ground truth, fetching via
+// the log's lookup.
+func (mc *memCluster) verify() {
+	for id, want := range mc.content {
+		ck, ok := mc.l.Lookup(id)
+		if !ok {
+			mc.t.Fatalf("page %v lost from log", id)
+		}
+		if got := mc.fetch(ck); got.Checksum() != want.Checksum() {
+			mc.t.Fatalf("page %v content mismatch", id)
 		}
 	}
-	_ = skipCol
 }
 
 func TestClusterRecoveryAfterSealedGroups(t *testing.T) {
-	mc := newMemCluster(t, 4)
+	mc := newMemCluster(t, 4, 1)
 	for i := 0; i < 16; i++ { // 4 sealed groups
 		mc.pageout(page.ID(i), mkPage(uint64(i)))
 	}
@@ -323,7 +314,7 @@ func TestClusterRecoveryAfterSealedGroups(t *testing.T) {
 }
 
 func TestClusterRecoveryWithOpenGroup(t *testing.T) {
-	mc := newMemCluster(t, 4)
+	mc := newMemCluster(t, 4, 1)
 	for i := 0; i < 10; i++ { // 2 sealed groups + open group of 2
 		mc.pageout(page.ID(i), mkPage(uint64(i)))
 	}
@@ -331,12 +322,8 @@ func TestClusterRecoveryWithOpenGroup(t *testing.T) {
 }
 
 func TestClusterRecoveryWithInactiveVersions(t *testing.T) {
-	mc := newMemCluster(t, 3)
-	for i := 0; i < 9; i++ {
-		mc.pageout(page.ID(i%4), mkPage(uint64(i*7)))
-	}
 	for col := 0; col < 3; col++ {
-		mc := newMemCluster(t, 3)
+		mc := newMemCluster(t, 3, 1)
 		for i := 0; i < 9; i++ {
 			mc.pageout(page.ID(i%4), mkPage(uint64(i*7+col)))
 		}
@@ -344,93 +331,115 @@ func TestClusterRecoveryWithInactiveVersions(t *testing.T) {
 	}
 }
 
+// TestClusterTwoColumnsDown: a (4,2) layout loses two columns at once
+// — two data, one of each, both parity — with an open group of three
+// in play.
+func TestClusterTwoColumnsDown(t *testing.T) {
+	for _, dead := range [][]int{{0, 2}, {1, 4}, {4, 5}, {3}} {
+		mc := newMemCluster(t, 4, 2)
+		for i := 0; i < 19; i++ {
+			mc.pageout(page.ID(i%13), mkPage(uint64(i*3)))
+		}
+		mc.crashAndRecover(dead...)
+	}
+}
+
 func TestClusterRandomizedRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		s := 2 + rng.Intn(4)
-		mc := newMemCluster(t, s)
+	for trial := 0; trial < 40; trial++ {
+		k, m := 2+rng.Intn(4), 1+rng.Intn(2)
+		mc := newMemCluster(t, k, m)
 		nPages := 1 + rng.Intn(12)
 		ops := 5 + rng.Intn(60)
 		for i := 0; i < ops; i++ {
 			mc.pageout(page.ID(rng.Intn(nPages)), mkPage(rng.Uint64()))
 		}
-		mc.crashAndRecover(rng.Intn(s))
+		mc.crashAndRecover(rng.Perm(k + m)[:1+rng.Intn(m)]...)
 		// Keep running after recovery.
 		for i := 0; i < 10; i++ {
 			mc.pageout(page.ID(rng.Intn(nPages)), mkPage(rng.Uint64()))
 		}
-		mc.verify(-1)
+		mc.verify()
 	}
 }
 
-func TestParityServerLoss(t *testing.T) {
-	mc := newMemCluster(t, 3)
-	for i := 0; i < 7; i++ {
+// TestPlanPageRepairsOneShard: the single-page plan used for checksum
+// repair erases the page's own shard plus whatever else is down, and
+// reports ErrUnrecoverable — never a short plan — past the tolerance.
+func TestPlanPageRepairsOneShard(t *testing.T) {
+	mc := newMemCluster(t, 4, 2)
+	for i := 0; i < 10; i++ { // two sealed groups, open group of two
 		mc.pageout(page.ID(i), mkPage(uint64(i)))
 	}
-	ids := mc.l.PlanParityLoss()
-	// Sealed groups hold pages 0..5; page 6 is in the open group.
-	if len(ids) != 6 {
-		t.Fatalf("PlanParityLoss lists %d pages, want 6", len(ids))
+	for _, tc := range []struct {
+		id     page.ID
+		erased []int
+		ok     bool
+	}{
+		{1, nil, true},
+		{1, []int{1, 3}, true}, // own column named again + one more
+		{1, []int{0, 5}, false},
+		{9, []int{0}, true}, // open group: one buffer each for 0 and 1
+		{9, []int{0, 4, 5}, true},
+	} {
+		lp, err := mc.l.PlanPage(tc.id, tc.erased...)
+		if !tc.ok {
+			if !errors.Is(err, ErrUnrecoverable) {
+				t.Fatalf("page %v erased %v: err = %v, want ErrUnrecoverable", tc.id, tc.erased, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("page %v erased %v: %v", tc.id, tc.erased, err)
+		}
+		var pages []page.Buf
+		for _, ck := range lp.Survivors {
+			if ck.Column == lp.Column || containsInt(tc.erased, ck.Column) {
+				t.Fatalf("page %v: survivor on erased column %d", tc.id, ck.Column)
+			}
+			pages = append(pages, mc.fetch(ck))
+		}
+		got, err := mc.l.Reconstruct(lp, pages)
+		if err != nil || got.Checksum() != mc.content[tc.id].Checksum() {
+			t.Fatalf("page %v erased %v: wrong reconstruction (%v)", tc.id, tc.erased, err)
+		}
 	}
-	mc.parity = make(map[uint64]page.Buf) // the crash
-	for _, id := range ids {
-		ck, _ := mc.l.Lookup(id)
-		data := mc.fetch(ck)
-		mc.pageout(id, data)
+	if _, err := mc.l.PlanPage(99); err == nil {
+		t.Fatal("PlanPage planned a page that is not live")
 	}
-	mc.verify(-1)
-}
-
-func TestAbandonOpenGroupResetsBuffer(t *testing.T) {
-	l := mustLog(t, 4)
-	l.Append(0, mkPage(1))
-	l.Append(1, mkPage(2))
-	if rec := l.AbandonOpenGroup(); rec != nil {
-		t.Fatal("abandon reclaimed group with active members")
+	// The open group's parity is in the client: only members count.
+	mc.pageout(10, mkPage(10))
+	if _, err := mc.l.PlanPage(8, 1, 4, 5); err != nil {
+		t.Fatalf("open group with two of three members gone: %v", err)
 	}
-	// Next append starts a fresh group at column 0 with zeroed buffer.
-	pl, _, _, _ := l.Append(2, mkPage(3))
-	if pl.Column != 0 {
-		t.Fatalf("post-abandon append on column %d, want 0", pl.Column)
-	}
-	// Fill the fresh group; parity must be XOR of only its own members.
-	pages := []page.Buf{mkPage(3)}
-	var sealed *SealedParity
-	for i := 3; i < 6; i++ {
-		p := mkPage(uint64(i + 10))
-		pages = append(pages, p)
-		_, s, _, _ := l.Append(page.ID(i), p)
-		sealed = s
-	}
-	want := page.NewBuf()
-	for _, p := range pages {
-		page.XORInto(want, p)
-	}
-	if sealed == nil || sealed.Data.Checksum() != want.Checksum() {
-		t.Fatal("buffer leaked across AbandonOpenGroup")
-	}
-	// Re-appending the abandoned group's members reclaims it (2 data
-	// slots, no parity slot).
-	var recs []Reclaim
-	_, _, r1, _ := l.Append(0, mkPage(20))
-	recs = append(recs, r1...)
-	_, _, r2, _ := l.Append(1, mkPage(21))
-	recs = append(recs, r2...)
-	if len(recs) != 1 || len(recs[0].Slots) != 2 {
-		t.Fatalf("abandoned group reclaim = %+v, want 1 reclaim with 2 slots", recs)
+	if _, err := mc.l.PlanPage(8, 1, 2); !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("open group with all three members gone: err = %v, want ErrUnrecoverable", err)
 	}
 }
 
-func TestAbandonNoOpenGroup(t *testing.T) {
-	l := mustLog(t, 2)
-	if l.AbandonOpenGroup() != nil {
-		t.Fatal("abandon with no open group returned reclaim")
+// TestCensus: full while one more column may go, degraded while still
+// readable, lost past that; the open group only counts its members.
+func TestCensus(t *testing.T) {
+	l := mustShaped(t, 4, 2)
+	for i := 0; i < 10; i++ { // two sealed groups, open group on columns 0,1
+		l.Append(page.ID(i), mkPage(uint64(i)))
 	}
-	l.Append(0, mkPage(1))
-	l.Append(1, mkPage(2)) // seals; no open group remains
-	if l.AbandonOpenGroup() != nil {
-		t.Fatal("abandon after seal returned reclaim")
+	for _, tc := range []struct {
+		dead                 []int
+		full, degraded, lost int
+	}{
+		{nil, 10, 0, 0},
+		{[]int{3}, 10, 0, 0},      // one of two parities' worth spent
+		{[]int{3, 3}, 10, 0, 0},   // named twice, counted once
+		{[]int{2, 5}, 2, 8, 0},    // sealed groups at their limit; open group untouched
+		{[]int{0, 4}, 2, 8, 0},    // open group: column 0 costs one buffer of two, 4 is no column of it
+		{[]int{0, 1, 2}, 0, 4, 6}, // sealed: own shard up or lost; open: both members gone, two buffers
+		{[]int{3, 4, 5}, 2, 6, 2}, // sealed pages on column 3 are gone
+	} {
+		f, d, lo := l.Census(tc.dead...)
+		if f != tc.full || d != tc.degraded || lo != tc.lost {
+			t.Fatalf("Census(%v) = %d/%d/%d, want %d/%d/%d", tc.dead, f, d, lo, tc.full, tc.degraded, tc.lost)
+		}
 	}
 }
 
@@ -481,30 +490,43 @@ func TestGCDrainsFragmentation(t *testing.T) {
 	if after >= before {
 		t.Fatalf("GC did not shrink stored versions: %d -> %d", before, after)
 	}
-	live := len(l.Pages())
-	if live != 10 {
-		t.Fatalf("live pages = %d, want 10", live)
+	if l.Live() != 10 || len(l.Pages()) != 10 {
+		t.Fatalf("live pages = %d (%d listed), want 10", l.Live(), len(l.Pages()))
 	}
 }
 
 func TestPlanRecoveryBadColumn(t *testing.T) {
 	l := mustLog(t, 2)
-	if _, err := l.PlanRecovery(2); err == nil {
+	if _, err := l.PlanRecovery(3); err == nil {
 		t.Fatal("PlanRecovery accepted out-of-range column")
 	}
 	if _, err := l.PlanRecovery(-1); err == nil {
 		t.Fatal("PlanRecovery accepted negative column")
 	}
+	if _, err := l.PlanRecovery(0, 2); !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("two columns down on single parity: err = %v, want ErrUnrecoverable", err)
+	}
+	if _, err := l.PlanRecovery(1, 1); err != nil {
+		t.Fatalf("one column named twice: %v", err)
+	}
 }
 
 func TestReconstructArityCheck(t *testing.T) {
 	l := mustLog(t, 2)
-	lp := LostPage{Survivors: []ColumnKey{{0, 1}, {ParityColumn, 2}}}
+	lp := LostPage{Column: 1, Survivors: []ColumnKey{{0, 1}, {2, 2}}}
 	if _, err := l.Reconstruct(lp, []page.Buf{mkPage(1)}); err == nil {
 		t.Fatal("Reconstruct accepted wrong survivor count")
 	}
 	if _, err := l.Reconstruct(lp, []page.Buf{mkPage(1), make(page.Buf, 3)}); err == nil {
 		t.Fatal("Reconstruct accepted short page")
+	}
+	lp.Survivors[1].Column = 3
+	if _, err := l.Reconstruct(lp, []page.Buf{mkPage(1), mkPage(2)}); err == nil {
+		t.Fatal("Reconstruct accepted a survivor column outside the layout")
+	}
+	lp = LostPage{Column: 1, Survivors: []ColumnKey{{0, 1}}}
+	if _, err := l.Reconstruct(lp, []page.Buf{mkPage(1)}); err == nil {
+		t.Fatal("Reconstruct decoded from fewer than k survivors")
 	}
 }
 

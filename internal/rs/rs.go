@@ -1,9 +1,10 @@
 // Package rs implements Reed-Solomon erasure coding over GF(2^8) for
 // the RS(k,m) redundancy policy: k data shards plus m parity shards,
 // any k of the k+m surviving shards reconstruct the rest. With m = 1
-// it degenerates to the XOR parity the paper ships; with m > 1 the
-// pager survives m simultaneous server crashes at (k+m)/k storage
-// overhead — far below the m+1 copies mirroring would need.
+// it is the XOR parity the paper ships, byte for byte (see the encode
+// matrix below); with m > 1 the pager survives m simultaneous server
+// crashes at (k+m)/k storage overhead — far below the m+1 copies
+// mirroring would need.
 //
 // The field is GF(256) with the usual AES-adjacent polynomial x^8 +
 // x^4 + x^3 + x^2 + 1 (0x11d). Scalar multiplies go through log/exp
@@ -16,9 +17,14 @@
 //
 // The encode matrix is the systematic Cauchy construction: data shard
 // i is the identity row e_i, parity row j is 1/(x_j + y_i) with
-// x_j = k+j and y_i = i. Every square submatrix of a Cauchy matrix is
-// nonsingular, so every k-subset of the k+m rows is invertible — the
-// MDS property the decode path relies on. Decoding inverts the k×k
+// x_j = k+j and y_i = i, and data column i is then scaled by x_0 + y_i
+// so that the first parity row is all ones. Every square submatrix of
+// a Cauchy matrix is nonsingular, and scaling a column by a nonzero
+// constant keeps it so, so every k-subset of the k+m rows is
+// invertible — the MDS property the decode path relies on. The
+// all-ones row makes parity shard 0 the plain XOR of the data shards,
+// computed on the c == 1 word-XOR path: RS(k,1) is single parity, not
+// merely as tolerant as it. Decoding inverts the k×k
 // matrix of the surviving rows (Gauss-Jordan over GF(256), in scratch
 // buffers allocated once at New) and multiplies the survivors back
 // through it.
@@ -212,10 +218,11 @@ func New(k, m int) (*Code, error) {
 	for j := 0; j < m; j++ {
 		c.enc[j] = make([]byte, k)
 		for i := 0; i < k; i++ {
-			// Cauchy: 1/(x_j + y_i), x_j = k+j, y_i = i. In GF(2^8)
-			// addition is XOR and the points are distinct, so the
-			// denominator is never zero.
-			c.enc[j][i] = inv(byte(k+j) ^ byte(i))
+			// Cauchy: 1/(x_j + y_i), x_j = k+j, y_i = i, with column i
+			// scaled by x_0 + y_i so row 0 is all ones. In GF(2^8)
+			// addition is XOR and the points are distinct, so neither
+			// the denominator nor the scale is ever zero.
+			c.enc[j][i] = mul(byte(k)^byte(i), inv(byte(k+j)^byte(i)))
 		}
 	}
 	return c, nil
@@ -330,17 +337,24 @@ func (c *Code) EncodeOne(parity [][]byte, i int, data []byte) error {
 	return nil
 }
 
+var (
+	errParityNeedsData = errors.New("rs: cannot rebuild a parity shard while a data shard is left out")
+	errPresentNil      = errors.New("rs: shard marked present is nil")
+)
+
 // ErrTooFewShards is returned by Reconstruct when fewer than k shards
 // survive — the data is unrecoverable.
 var ErrTooFewShards = errors.New("rs: fewer than k shards present")
 
 // Reconstruct fills in the missing shards in place. shards holds all
 // k+m rows in index order (data 0..k-1, parity k..k+m-1); present[i]
-// reports whether row i holds valid bytes. Rows with present[i] ==
-// false must still be allocated to the shard length — they are
-// overwritten with the reconstruction. At least k rows must be
-// present. Allocation-free: the decode matrix and its inverse live in
-// scratch owned by the Code.
+// reports whether row i holds valid bytes. A row with present[i] ==
+// false is overwritten with the reconstruction if it is allocated to
+// the shard length, and left out if it is nil — a caller after one
+// page of a group does not pay for the rest. A missing parity row can
+// only be rebuilt when no data row is left out. At least k rows must
+// be present. Allocation-free: the decode matrix and its inverse live
+// in scratch owned by the Code.
 //
 //rmpvet:hotpath
 func (c *Code) Reconstruct(shards [][]byte, present []bool) error {
@@ -351,12 +365,18 @@ func (c *Code) Reconstruct(shards [][]byte, present []bool) error {
 		return err
 	}
 	have := 0
-	dataMissing := false
+	dataMissing, dataLeftOut := false, false
 	for i, p := range present {
 		if p {
+			if shards[i] == nil {
+				return errPresentNil
+			}
 			have++
 		} else if i < c.k {
 			dataMissing = true
+			if shards[i] == nil {
+				dataLeftOut = true
+			}
 		}
 	}
 	if have < c.k {
@@ -389,10 +409,10 @@ func (c *Code) Reconstruct(shards [][]byte, present []bool) error {
 		}
 		// data_d = Σ_r invMat[d][r] · shards[chosen[r]].
 		for d := 0; d < c.k; d++ {
-			if present[d] {
+			out := shards[d]
+			if present[d] || out == nil {
 				continue
 			}
-			out := shards[d]
 			mulAssign(out, shards[c.chosen[0]], c.invMat[d*c.k])
 			for r := 1; r < c.k; r++ {
 				mulAdd(out, shards[c.chosen[r]], c.invMat[d*c.k+r])
@@ -402,10 +422,13 @@ func (c *Code) Reconstruct(shards [][]byte, present []bool) error {
 
 	// With the data rows complete, re-encode any missing parity rows.
 	for j := 0; j < c.m; j++ {
-		if present[c.k+j] {
+		out := shards[c.k+j]
+		if present[c.k+j] || out == nil {
 			continue
 		}
-		out := shards[c.k+j]
+		if dataLeftOut {
+			return errParityNeedsData
+		}
 		mulAssign(out, shards[0], c.enc[j][0])
 		for i := 1; i < c.k; i++ {
 			mulAdd(out, shards[i], c.enc[j][i])
@@ -483,32 +506,4 @@ func addRows(m []byte, k, dst, src int, f byte) {
 	for i := 0; i < k; i++ {
 		m[dst*k+i] ^= mul(f, m[src*k+i])
 	}
-}
-
-// Verify recomputes the parity shards into scratch and reports
-// whether they match the stored ones. Used by tests and the decode
-// self-checks; allocates its scratch per call.
-func (c *Code) Verify(shards [][]byte) (bool, error) {
-	size, err := checkShards(shards, c.k+c.m)
-	if err != nil {
-		return false, err
-	}
-	for _, s := range shards {
-		if s == nil {
-			return false, errors.New("rs: nil shard in Verify")
-		}
-	}
-	tmp := make([]byte, size)
-	for j := 0; j < c.m; j++ {
-		mulAssign(tmp, shards[0], c.enc[j][0])
-		for i := 1; i < c.k; i++ {
-			mulAdd(tmp, shards[i], c.enc[j][i])
-		}
-		for i, v := range tmp {
-			if v != shards[c.k+j][i] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }

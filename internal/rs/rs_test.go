@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"rmp/internal/page"
 )
 
 // fieldAxioms spot-checks the GF(256) tables: inverses, commutativity,
@@ -123,6 +125,25 @@ func TestReconstructAllErasurePatterns(t *testing.T) {
 						t.Fatalf("mask %#x: shard %d wrong after reconstruction", mask, i)
 					}
 				}
+				// One wanted data row at a time, the other erased rows
+				// left out (nil): same bytes, nothing else touched.
+				for d := 0; d < k; d++ {
+					if mask&(1<<d) == 0 {
+						continue
+					}
+					for i := 0; i < n; i++ {
+						if mask&(1<<i) != 0 {
+							shards[i] = nil
+						}
+					}
+					shards[d] = make([]byte, len(orig[d]))
+					if err := c.Reconstruct(shards, present); err != nil {
+						t.Fatalf("mask %#x want %d: %v", mask, d, err)
+					}
+					if !bytes.Equal(shards[d], orig[d]) {
+						t.Fatalf("mask %#x: lone shard %d wrong after reconstruction", mask, d)
+					}
+				}
 			}
 		})
 	}
@@ -147,6 +168,17 @@ func TestReconstructTooFewShards(t *testing.T) {
 	}
 	if err := c.Reconstruct(shards, present); err != ErrTooFewShards {
 		t.Fatalf("got %v, want ErrTooFewShards", err)
+	}
+	// A parity row cannot be rebuilt around a data row the caller left
+	// out, and a row marked present must hold bytes: errors, not panics.
+	copy(shards[2], orig[2])
+	present[2] = true
+	shards[0], shards[1] = nil, nil
+	if err := c.Reconstruct(shards, append([]bool(nil), true, false, true, true, true, false)); err == nil {
+		t.Fatal("a nil shard marked present was accepted")
+	}
+	if err := c.Reconstruct(shards, append([]bool(nil), false, false, true, true, true, false)); err == nil {
+		t.Fatal("parity rebuilt although a data shard was left out")
 	}
 }
 
@@ -175,44 +207,45 @@ func TestEncodeOneMatchesEncode(t *testing.T) {
 	}
 }
 
-func TestVerify(t *testing.T) {
-	c, err := New(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := makeShards(t, c, 128, 17)
-	if ok, err := c.Verify(shards); err != nil || !ok {
-		t.Fatalf("verify clean set: ok=%v err=%v", ok, err)
-	}
-	shards[1][5] ^= 0xff
-	if ok, _ := c.Verify(shards); ok {
-		t.Fatal("verify accepted a corrupted shard")
-	}
-}
-
-// TestSingleParityDegenerate: RS(k,1) is this code's analogue of the
-// paper's single-parity policies — one erasure anywhere must decode.
-// (The Cauchy coefficients are weighted, so the parity page is not the
-// plain XOR, but the tolerance is the same.)
-func TestSingleParityDegenerate(t *testing.T) {
-	c, err := New(5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := makeShards(t, c, 64, 23)
-	lost := 2
-	saved := append([]byte(nil), shards[lost]...)
-	present := make([]bool, c.Total())
-	for i := range present {
-		present[i] = i != lost
-	}
-	for b := range shards[lost] {
-		shards[lost][b] = 0
-	}
-	if err := c.Reconstruct(shards, present); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(shards[lost], saved) {
-		t.Fatal("rs(5,1) failed to reconstruct a single erasure")
+// TestM1IsXOR: RS(k,1) is the paper's single parity byte for byte —
+// Encode yields the page.XORInto fold of the data shards, shard-by-shard
+// EncodeOne accumulation yields the same page, and one erasure anywhere
+// decodes.
+func TestM1IsXOR(t *testing.T) {
+	for _, k := range []int{1, 2, 4, 5, 9} {
+		c, err := New(k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := makeShards(t, c, page.Size, int64(23+k))
+		fold := page.NewBuf()
+		acc := [][]byte{make([]byte, page.Size)}
+		for i := 0; i < k; i++ {
+			page.XORInto(fold, shards[i])
+			if err := c.EncodeOne(acc, i, shards[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(shards[k], fold) {
+			t.Fatalf("rs(%d,1): Encode is not the XOR fold of the data shards", k)
+		}
+		if !bytes.Equal(acc[0], shards[k]) {
+			t.Fatalf("rs(%d,1): EncodeOne accumulation diverges from Encode", k)
+		}
+		lost := k / 2
+		saved := append([]byte(nil), shards[lost]...)
+		present := make([]bool, c.Total())
+		for i := range present {
+			present[i] = i != lost
+		}
+		for b := range shards[lost] {
+			shards[lost][b] = 0
+		}
+		if err := c.Reconstruct(shards, present); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(shards[lost], saved) {
+			t.Fatalf("rs(%d,1) failed to reconstruct a single erasure", k)
+		}
 	}
 }
