@@ -92,18 +92,18 @@ func TestParseErrors(t *testing.T) {
 
 func TestCompileRejectsOverlap(t *testing.T) {
 	bad := []string{
-		"@0 kill s0\n@1 kill s0",                              // kill while down
-		"@0 restart s0",                                       // restart of a live server
-		"@0 kill s0\n@1 restart s0\n@2 restart s0",            // double restart
-		"@0 partition a -> s1\n@1 partition a -> s1",          // duplicate partition
-		"@0 heal a -> s1",                                     // heal with no partition
-		"@0 partition a -> s1 for 2\n@1 partition a -> s1",    // overlap with auto-heal
-		"@0 rackfail r0 for 5\n@2 rackfail r0 for 5",          // rack isolation overlap
-		"@0 kill nosuch",                                      // unknown server
-		"@0 rackfail nosuch",                                  // unknown rack
-		"@0 partition a -> nosuch",                            // unknown destination
-		"@0 flap s0 period 4 count 2\n@1 kill s0",             // flap overlaps kill
-		"@0 rolling every 2 down 1\n@1 kill s1",               // rolling overlaps kill
+		"@0 kill s0\n@1 kill s0",                           // kill while down
+		"@0 restart s0",                                    // restart of a live server
+		"@0 kill s0\n@1 restart s0\n@2 restart s0",         // double restart
+		"@0 partition a -> s1\n@1 partition a -> s1",       // duplicate partition
+		"@0 heal a -> s1",                                  // heal with no partition
+		"@0 partition a -> s1 for 2\n@1 partition a -> s1", // overlap with auto-heal
+		"@0 rackfail r0 for 5\n@2 rackfail r0 for 5",       // rack isolation overlap
+		"@0 kill nosuch",                                   // unknown server
+		"@0 rackfail nosuch",                               // unknown rack
+		"@0 partition a -> nosuch",                         // unknown destination
+		"@0 flap s0 period 4 count 2\n@1 kill s0",          // flap overlaps kill
+		"@0 rolling every 2 down 1\n@1 kill s1",            // rolling overlaps kill
 	}
 	for _, src := range bad {
 		s, err := Parse(src)
@@ -228,12 +228,12 @@ func FuzzSchedule(f *testing.F) {
 	f.Add("@10 rackfail r0 for 5\n@20 rackheal r1\n@15 rackfail r1 for 2")
 	f.Add("@21 flap s2 period 4 count 2")
 	f.Add("@40 rolling every 6 down 2")
-	f.Add("@0 kill s0\n@1 kill s0")             // overlapping
-	f.Add("@5 partition s0 -> s1 for 0")        // zero-duration
-	f.Add("@5 flap s0 period 0 count 0")        // degenerate
-	f.Add("# only a comment")                   // empty
-	f.Add("@999999999999 kill s0")              // overflow-ish tick
-	f.Add("@0 kill s0 @2 restart s0")           // events jammed on one line
+	f.Add("@0 kill s0\n@1 kill s0")      // overlapping
+	f.Add("@5 partition s0 -> s1 for 0") // zero-duration
+	f.Add("@5 flap s0 period 0 count 0") // degenerate
+	f.Add("# only a comment")            // empty
+	f.Add("@999999999999 kill s0")       // overflow-ish tick
+	f.Add("@0 kill s0 @2 restart s0")    // events jammed on one line
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := Parse(src)
 		if err != nil {

@@ -56,6 +56,7 @@ const (
 // connections) to one server. Checksum faults and server-reported
 // statuses do not count: a server that answers, even with an error, is
 // not wedged.
+//
 //rmpvet:holds Pager.mu
 type breaker struct {
 	threshold int           // consecutive failures before opening

@@ -460,6 +460,7 @@ func New(cfg Config) (*Pager, error) {
 // newPolicy builds the configured policy implementation. Runs during
 // construction, before the Pager is shared, so it owns all state the
 // same way a mu-holding caller would.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) newPolicy() (policyImpl, error) {
 	alive := p.aliveServers()
@@ -533,6 +534,7 @@ func (p *Pager) closeConns() {
 }
 
 // aliveServers returns the indexes of servers currently reachable.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) aliveServers() []int {
 	var out []int
@@ -545,6 +547,7 @@ func (p *Pager) aliveServers() []int {
 }
 
 // allocKey issues a fresh storage key (< 2^48, see server package).
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) allocKey() uint64 {
 	k := p.nextKey
@@ -711,6 +714,7 @@ func (p *Pager) Free(ids ...page.ID) error {
 // pickServer returns the most promising server for a new placement;
 // exclude lists server indexes to skip. Returns -1 if no server can
 // take a page (the caller then falls back to the local disk).
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) pickServer(exclude ...int) int {
 	allowed := make([]int, len(p.servers))
@@ -730,6 +734,7 @@ func (p *Pager) pickServer(exclude ...int) int {
 //     preferred over far ones — the §5 heterogeneous hierarchy;
 //  4. ties break to the most free headroom ("the most promising
 //     server").
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) pickFrom(allowed []int, exclude ...int) int {
 	skip := make(map[int]bool, len(exclude))
@@ -800,6 +805,7 @@ func (p *Pager) pickFrom(allowed []int, exclude ...int) int {
 // topUp tries to reserve another chunk of swap space on server i.
 // ALLOC replay after a lost ack over-grants on the server side only
 // (reclaimed at BYE), so the request is treated as idempotent.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) topUp(i int) {
 	rs := p.servers[i]
@@ -825,6 +831,7 @@ func (p *Pager) topUp(i int) {
 // and detecting death. PAGEOUT is keyed by block, so the retry layer
 // may replay it safely: a duplicate lands the same bytes under the
 // same key.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) sendPage(srv int, key uint64, data page.Buf, fresh bool) error {
 	rs := p.servers[srv]
@@ -852,6 +859,7 @@ func (p *Pager) sendPage(srv int, key uint64, data page.Buf, fresh bool) error {
 // round trip instead of one per page (see Conn.PageOutBatch). PAGEOUT
 // is keyed by block, so the retry layer may replay the whole batch
 // safely after a transport failure.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) sendPageBatch(srv int, keys []uint64, pages []page.Buf, fresh bool) error {
 	if len(keys) == 0 {
@@ -888,6 +896,7 @@ type sendReq struct {
 // I/O overlaps (each Conn serializes itself), while all shared pager
 // state is updated single-threaded after the joins. Mirroring uses it
 // so a pageout costs one round trip instead of two.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) sendPages(reqs []sendReq) []error {
 	errs := make([]error, len(reqs))
@@ -944,6 +953,7 @@ func (p *Pager) sendPages(reqs []sendReq) []error {
 
 // fetchPage reads the page stored under key on server srv. PAGEIN is
 // read-only, so the retry layer replays it freely.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) fetchPage(srv int, key uint64) (page.Buf, error) {
 	rs := p.servers[srv]
@@ -970,6 +980,7 @@ func (p *Pager) fetchPage(srv int, key uint64) (page.Buf, error) {
 // ignored (their memory is gone anyway). A replayed FREE whose first
 // ack was lost answers NOT_FOUND — that still means "freed", so the
 // status is tolerated.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) freeSlots(srv int, keys ...uint64) {
 	rs := p.servers[srv]
@@ -1008,6 +1019,7 @@ func isConnError(err error) bool {
 // synchronously (no membership layer — the paper's behaviour) or by
 // queueing a background re-protection job, so the failing request
 // returns promptly and redundancy is restored off the data path.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) serverDied(srv int, cause error) {
 	rs := p.servers[srv]
@@ -1049,6 +1061,7 @@ func (p *Pager) serverDied(srv int, cause error) {
 // pending entry is consumed by whoever gets here first — the
 // background job, a policy entry point that needs consistent state,
 // or a revival.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) ensureRecovered(srv int) {
 	diedAt, ok := p.rebuildPending[srv]
@@ -1072,6 +1085,7 @@ func (p *Pager) ensureRecovered(srv int) {
 // pager sat in (policy tolerance minus pending deaths, clamped into
 // Stats.ExposureAtTol), and starts the next window. Called whenever
 // the pending-death count is about to change.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) accrueExposure() {
 	now := time.Now()
@@ -1092,6 +1106,7 @@ func (p *Pager) accrueExposure() {
 // held). The parity policies call this before touching group
 // bookkeeping: their invariants assume crash recovery ran before any
 // other mutation, so the asynchronous gap must close here.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) ensureAllRecovered() {
 	for len(p.rebuildPending) > 0 {
@@ -1103,6 +1118,7 @@ func (p *Pager) ensureAllRecovered() {
 }
 
 // diskPut stores a page in the local swap file under the page id.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) diskPut(id page.ID, data page.Buf) error {
 	if err := p.swap.Put(uint64(id), data); err != nil {
@@ -1113,6 +1129,7 @@ func (p *Pager) diskPut(id page.ID, data page.Buf) error {
 }
 
 // diskGet reads a page from the local swap file.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) diskGet(id page.ID) (page.Buf, error) {
 	data, err := p.swap.Get(uint64(id))
@@ -1246,6 +1263,7 @@ func (p *Pager) tierTolerable(srv int) bool {
 // promoteDiskPages re-pages disk-fallback pages out through the
 // policy now that remote space may exist. (The paper replicates them
 // and prefers the remote copy; we move them, freeing the disk slot.)
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) promoteDiskPages() error {
 	if p.cfg.Policy == PolicyWriteThrough {

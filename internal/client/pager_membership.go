@@ -98,6 +98,7 @@ func (h *hbProber) Close() {
 }
 
 // serverIdx finds the index of addr in the server table (p.mu held).
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) serverIdx(addr string) int {
 	for i, rs := range p.servers {
@@ -269,6 +270,7 @@ func (p *Pager) AddServer(addr string) error {
 // pre-revival layout — mixing a rebuild with a rejoin would let the
 // policy hand reconstruction reads to the server that just lost
 // everything.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) reviveServer(srv int) bool {
 	rs := p.servers[srv]
@@ -307,6 +309,7 @@ func (p *Pager) reviveServer(srv int) bool {
 // retire it from the live view. The draining flag stays set so the
 // server is neither picked nor re-dialed; a cancelled drain revives
 // it via the heartbeat path.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) finishDrain(srv int) error {
 	rs := p.servers[srv]

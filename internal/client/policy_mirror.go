@@ -10,6 +10,7 @@ import (
 // servers (paper §2.2 MIRRORING). Crash recovery is near-free — the
 // mirror copy is read directly — at the price of two transfers per
 // pageout and double memory use.
+//
 //rmpvet:holds Pager.mu
 type mirrorPolicy struct {
 	p *Pager

@@ -10,6 +10,7 @@ import (
 // NO RELIABILITY configuration). It is the fastest policy — one
 // transfer per pageout — but a server crash loses the pages stored
 // there; PageIn then reports ErrPageLost.
+//
 //rmpvet:holds Pager.mu
 type nonePolicy struct {
 	p *Pager

@@ -15,6 +15,7 @@ import (
 // forwards the delta to the parity server (two page transfers per
 // pageout). Memory overhead is only 1/S, but the runtime overhead is
 // what motivated the paper to invent parity logging.
+//
 //rmpvet:holds Pager.mu
 type parityPolicy struct {
 	p *Pager
@@ -437,6 +438,7 @@ func (pp *parityPolicy) recomputeGroups() error {
 // fails leaves that group's parity computed from the readable members
 // and is reported as the first error; when recovered is set each
 // group counts toward Stats.Recovered.
+//
 //rmpvet:holds Pager.mu
 func (pp *parityPolicy) recomputeAndShipParity(recovered bool) error {
 	p := pp.p

@@ -11,6 +11,7 @@ import (
 // the disk head never moves for reads. A server crash loses nothing —
 // the disk holds everything — and the pager re-pushes the affected
 // pages to a healthy server to restore read performance.
+//
 //rmpvet:holds Pager.mu
 type writeThroughPolicy struct {
 	p *Pager

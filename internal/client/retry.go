@@ -122,6 +122,7 @@ func isBadChecksum(err error) bool {
 // instead of at the next missed heartbeat. Runs with p.mu held; the
 // detector callback re-enters the pager, so the report is dispatched
 // asynchronously.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) reportSuspect(srv int, cause error) {
 	rs := p.servers[srv]
@@ -137,6 +138,7 @@ func (p *Pager) reportSuspect(srv int, cause error) {
 // and the caller must degrade. Runs with p.mu held — the pager
 // serializes requests like the paper's one paging daemon, so a fault
 // in retry blocks its siblings at most for the remaining budget.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) sleepBackoff(attempt int, budgetEnd time.Time) bool {
 	d := backoffDelay(attempt, p.cfg.RetryBaseDelay, p.cfg.RetryMaxDelay, rand.Float64())
@@ -160,6 +162,7 @@ func (p *Pager) sleepBackoff(attempt int, budgetEnd time.Time) bool {
 // closed; callers route such errors to serverDied, whose recovery
 // (synchronous or background) is the guaranteed degradation path.
 // Runs with p.mu held.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) withConn(srv int, idempotent bool, op func(*Conn) error) error {
 	rs := p.servers[srv]
@@ -239,6 +242,7 @@ func (p *Pager) withConn(srv int, idempotent bool, op func(*Conn) error) error {
 // noteTransportFailure accounts a transport-level failure: timeouts
 // are counted and fed to the circuit breaker; an opening breaker is
 // counted and reported to the failure detector.
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) noteTransportFailure(rs *remoteServer, err error) {
 	if !isTimeoutErr(err) {
@@ -252,6 +256,7 @@ func (p *Pager) noteTransportFailure(rs *remoteServer, err error) {
 }
 
 // indexOf finds rs's index in the server table (p.mu held).
+//
 //rmpvet:holds Pager.mu
 func (p *Pager) indexOf(rs *remoteServer) int {
 	for i, s := range p.servers {

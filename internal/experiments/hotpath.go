@@ -37,13 +37,13 @@ type HotpathStats struct {
 	// Frame output: per-frame Encode (allocating baseline) vs the
 	// batching FrameWriter (headers encoded into reused scratch,
 	// payloads shipped by reference through one writev vector).
-	EncodeFramesPerSec       float64 `json:"encode_frames_per_sec"`
-	EncodeAllocsPerFrame     float64 `json:"encode_allocs_per_frame"`
-	EncodeBytesPerFrame      float64 `json:"encode_bytes_per_frame"`
-	FrameWriterFramesPerSec  float64 `json:"framewriter_frames_per_sec"`
-	FrameWriterAllocsPerOp   float64 `json:"framewriter_allocs_per_frame"`
-	FrameWriterBytesPerOp    float64 `json:"framewriter_bytes_per_frame"`
-	FrameWriterBatch         int     `json:"framewriter_batch"`
+	EncodeFramesPerSec      float64 `json:"encode_frames_per_sec"`
+	EncodeAllocsPerFrame    float64 `json:"encode_allocs_per_frame"`
+	EncodeBytesPerFrame     float64 `json:"encode_bytes_per_frame"`
+	FrameWriterFramesPerSec float64 `json:"framewriter_frames_per_sec"`
+	FrameWriterAllocsPerOp  float64 `json:"framewriter_allocs_per_frame"`
+	FrameWriterBytesPerOp   float64 `json:"framewriter_bytes_per_frame"`
+	FrameWriterBatch        int     `json:"framewriter_batch"`
 
 	// Frame input: plain Decode (fresh buffers per frame) vs
 	// DecodePooled + Recycle (pooled frame buffer and Msg).

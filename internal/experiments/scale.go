@@ -410,19 +410,19 @@ func latPercentile(sorted []time.Duration, q float64) float64 {
 
 // ScaleChaosRun is one adversarial schedule's outcome in the JSON.
 type ScaleChaosRun struct {
-	Name            string   `json:"name"`
-	Clients         int      `json:"clients"`
-	Servers         int      `json:"servers"`
-	Schedule        string   `json:"schedule"`
-	Seed            int64    `json:"seed"`
-	Events          []string `json:"events"`
-	AckedPages      int      `json:"acked_pages"`
-	ReadErrors      uint64   `json:"read_errors"`
-	HeartbeatDeaths uint64   `json:"heartbeat_deaths"`
-	Rebuilds        uint64   `json:"rebuilds"`
+	Name            string     `json:"name"`
+	Clients         int        `json:"clients"`
+	Servers         int        `json:"servers"`
+	Schedule        string     `json:"schedule"`
+	Seed            int64      `json:"seed"`
+	Events          []string   `json:"events"`
+	AckedPages      int        `json:"acked_pages"`
+	ReadErrors      uint64     `json:"read_errors"`
+	HeartbeatDeaths uint64     `json:"heartbeat_deaths"`
+	Rebuilds        uint64     `json:"rebuilds"`
 	ExposureMsAtTol [5]float64 `json:"exposure_ms_at_tol"`
-	Invariants      string   `json:"invariants"`
-	WallMs          int64    `json:"wall_ms"`
+	Invariants      string     `json:"invariants"`
+	WallMs          int64      `json:"wall_ms"`
 }
 
 // ScalePoint is one N×M sweep measurement in the JSON.
@@ -543,10 +543,10 @@ func scaleBenchTo(jsonPath string) (*Table, *ScaleStats, error) {
 		point := ScalePoint{
 			Clients: pt.clients, Servers: pt.servers, Nodes: pt.clients + pt.servers,
 			AckedPages: res.acked, PageOuts: res.pageOuts, PageIns: res.pageIns,
-			AllocSuccess: alloc,
-			P50Micros:    latPercentile(res.lats, 0.50),
-			P99Micros:    latPercentile(res.lats, 0.99),
-			P999Micros:   latPercentile(res.lats, 0.999),
+			AllocSuccess:    alloc,
+			P50Micros:       latPercentile(res.lats, 0.50),
+			P99Micros:       latPercentile(res.lats, 0.99),
+			P999Micros:      latPercentile(res.lats, 0.999),
 			ExposureMsAtTol: exposureMs(res.exposure),
 			Invariants:      res.invariants, WallMs: res.wall.Milliseconds(),
 		}

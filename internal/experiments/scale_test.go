@@ -26,9 +26,9 @@ func firedLines(events []string) string {
 func TestScaleSmoke(t *testing.T) {
 	res, err := runScaleScenario(scaleCfg{
 		name: "smoke", clients: 50, servers: 8, racks: 4, perClient: 4,
-		schedule:   "@2 flap ? period 4 count 1\n@8 partition * -> srv2 for 3",
-		seed:       42,
-		steps:      13, opsPerStep: 2, keys: 6,
+		schedule: "@2 flap ? period 4 count 1\n@8 partition * -> srv2 for 3",
+		seed:     42,
+		steps:    13, opsPerStep: 2, keys: 6,
 		hbInterval: 150 * time.Millisecond, hbTimeout: time.Second,
 	})
 	if err != nil {
