@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-json lint escapes bench fuzz-smoke clean
+.PHONY: all build test race gofmt vet vet-json lint escapes bench fuzz-smoke clean
 
-all: build vet lint escapes test
+all: build gofmt vet lint escapes test
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,13 @@ test:
 
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# gofmt: the formatting gate. gofmt -l prints the files it would
+# change; any output fails.
+gofmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; \
+	fi
 
 # vet: the stock toolchain vet pass. Kept separate from lint so CI can
 # report them as distinct gates.

@@ -52,8 +52,8 @@ func main() {
 	if *serverAddr == "" {
 		log.Fatal("rmpctl: -server required")
 	}
-	c, err := client.DialWithDeadlines(*serverAddr, *name, *token,
-		client.DialTimeout, client.Deadlines{Ceil: *reqTimeout})
+	c, err := client.DialWithOptions(*serverAddr, *name, *token,
+		client.DialOptions{Deadlines: client.Deadlines{Ceil: *reqTimeout}})
 	if err != nil {
 		log.Fatalf("rmpctl: %v", err)
 	}

@@ -14,17 +14,22 @@
 // pressure exactly when the pager is evicting because memory is
 // scarce.
 //
-// Escapes that are inherent to an API (Decode returning a fresh
-// payload) live in a committed, reviewed baseline file, one entry per
-// line:
+// Escapes that are inherent to an API (parsePayload handing the
+// caller a decoded Host string) live in a committed, reviewed baseline
+// file, one entry per line:
 //
 //	<funcname>: <compiler message>
 //
 // where funcname is the receiver-qualified name (e.g. (*Conn).
 // dispatch) and the message is the compiler's text with positions
 // stripped. '#' starts a comment. An escape in the baseline is
-// tolerated; anything else fails the gate. Adding a baseline entry is
-// a reviewed act: the diff to the file is the review trail.
+// tolerated; anything else fails the gate, and so does a baseline
+// entry that no escape in the checked packages matches — a stale entry
+// is an allowance nobody reviewed for the code as it now stands. (The
+// baseline is one file for the whole tree: run the gate over ./..., or
+// entries for the packages left out read as stale.)
+// Adding a baseline entry is a reviewed act: the diff to the file is
+// the review trail.
 package escapegate
 
 import (
@@ -63,19 +68,19 @@ var escLine = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*)$`)
 
 // Check compiles the packages matching patterns under dir with
 // -gcflags='-m -m' and returns a diagnostic for every heap escape
-// inside a hotpath function that the baseline does not cover.
+// inside a hotpath function that the baseline does not cover, and for
+// every baseline entry that covers none.
 func Check(dir string, patterns []string, baseline string) ([]analysis.Diagnostic, error) {
 	hots, err := hotFuncs(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	if len(hots) == 0 {
-		return nil, nil
-	}
-
 	allowed, err := readBaseline(filepath.Join(dir, baseline))
 	if err != nil {
 		return nil, err
+	}
+	if len(hots) == 0 && len(allowed) == 0 {
+		return nil, nil
 	}
 
 	args := append([]string{"build", "-gcflags=-m -m"}, patterns...)
@@ -89,6 +94,7 @@ func Check(dir string, patterns []string, baseline string) ([]analysis.Diagnosti
 	var diags []analysis.Diagnostic
 	sawAny := false
 	dup := map[string]bool{}
+	used := map[string]bool{}
 	for _, line := range strings.Split(out.String(), "\n") {
 		m := escLine.FindStringSubmatch(line)
 		if m == nil {
@@ -115,7 +121,8 @@ func Check(dir string, patterns []string, baseline string) ([]analysis.Diagnosti
 		if fn == nil {
 			continue
 		}
-		if allowed[fn.name+": "+msg] {
+		if entry := fn.name + ": " + msg; allowed[entry] > 0 {
+			used[entry] = true
 			continue
 		}
 		diags = append(diags, analysis.Diagnostic{
@@ -128,6 +135,15 @@ func Check(dir string, patterns []string, baseline string) ([]analysis.Diagnosti
 	if runErr != nil && !sawAny {
 		// The build itself failed (not just chatty diagnostics).
 		return nil, fmt.Errorf("go build: %w\n%s", runErr, out.String())
+	}
+	for entry, line := range allowed {
+		if !used[entry] {
+			diags = append(diags, analysis.Diagnostic{
+				Pos:      token.Position{Filename: baseline, Line: line},
+				Analyzer: "escapegate",
+				Message:  fmt.Sprintf("stale baseline entry %q matches no hotpath escape; delete it", entry),
+			})
+		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
@@ -258,9 +274,9 @@ func packageDirs(dir string, patterns []string) ([]string, error) {
 	return dirs, nil
 }
 
-// readBaseline loads the reviewed allow-list; a missing file is an
-// empty baseline.
-func readBaseline(path string) (map[string]bool, error) {
+// readBaseline loads the reviewed allow-list as entry → line number
+// (1-based); a missing file is an empty baseline.
+func readBaseline(path string) (map[string]int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -268,13 +284,13 @@ func readBaseline(path string) (map[string]bool, error) {
 		}
 		return nil, err
 	}
-	allowed := map[string]bool{}
-	for _, line := range strings.Split(string(data), "\n") {
+	allowed := map[string]int{}
+	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		allowed[line] = true
+		allowed[line] = i + 1
 	}
 	return allowed, nil
 }

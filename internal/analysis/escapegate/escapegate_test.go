@@ -76,6 +76,31 @@ func TestBaselineSilencesReviewedEscape(t *testing.T) {
 	}
 }
 
+// TestStaleBaselineEntryIsAFinding: an entry that matches no escape —
+// here one for a function that no longer exists — fails the gate and
+// points at its line in the baseline file.
+func TestStaleBaselineEntryIsAFinding(t *testing.T) {
+	dir := writeModule(t)
+	baseline := "# reviewed\nGrab: make([]byte, n) escapes to heap\nGone: make([]byte, n) escapes to heap\n"
+	if err := os.WriteFile(filepath.Join(dir, escapegate.DefaultBaseline), []byte(baseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	diags, err := escapegate.Check(dir, []string{"."}, escapegate.DefaultBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 {
+		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
+	}
+	d := diags[0]
+	if !strings.Contains(d.Message, "stale baseline entry") || !strings.Contains(d.Message, "Gone:") {
+		t.Errorf("unexpected message: %s", d.Message)
+	}
+	if d.Pos.Filename != escapegate.DefaultBaseline || d.Pos.Line != 3 {
+		t.Errorf("bad position: %v, want %s:3", d.Pos, escapegate.DefaultBaseline)
+	}
+}
+
 // TestRepoHotpathsClean is the repository's own allocation gate: the
 // RS coder, the frame encoder, the mux writer/dispatcher, and the
 // store accessors must produce no escapes beyond the committed

@@ -165,7 +165,7 @@ func scanOwnership(u *analysis.Unit, body *ast.BlockStmt, site *goSite, ix *inde
 					site.owned = true
 				}
 			}
-			// Helpers that block on a conn argument: wire.Decode(conn),
+			// Helpers that block on a conn argument: wire.DecodePooled(conn),
 			// io.ReadFull(conn, buf).
 			for _, arg := range v.Args {
 				if tv, ok := u.Info.Types[arg]; ok &&

@@ -222,7 +222,7 @@ func cancellable(pass *analysis.Pass, body *ast.BlockStmt, netConn, listener *ty
 				}
 			}
 			// Or a helper that reads frames from a conn argument
-			// (wire.Decode(conn), io.ReadFull(conn, ...)).
+			// (wire.DecodePooled(conn), io.ReadFull(conn, ...)).
 			for _, arg := range v.Args {
 				if tv, ok := pass.Info.Types[arg]; ok && analysis.Implements(tv.Type, netConn) {
 					found = true

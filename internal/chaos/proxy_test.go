@@ -274,7 +274,7 @@ func TestBasicParityFlakyLink(t *testing.T) {
 func TestProxyStall(t *testing.T) {
 	_, px := proxied(t)
 	dl := client.Deadlines{Floor: 30 * time.Millisecond, Ceil: 150 * time.Millisecond}
-	c, err := client.DialWithDeadlines(px.Addr(), "chaos-client", "", time.Second, dl)
+	c, err := client.DialWithOptions(px.Addr(), "chaos-client", "", client.DialOptions{Timeout: time.Second, Deadlines: dl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestProxyStall(t *testing.T) {
 	}
 
 	px.Unstall()
-	c2, err := client.DialWithDeadlines(px.Addr(), "chaos-client", "", time.Second, dl)
+	c2, err := client.DialWithOptions(px.Addr(), "chaos-client", "", client.DialOptions{Timeout: time.Second, Deadlines: dl})
 	if err != nil {
 		t.Fatalf("reconnect after Unstall: %v", err)
 	}
@@ -315,7 +315,7 @@ func TestProxyStall(t *testing.T) {
 func TestProxyStallPartial(t *testing.T) {
 	_, px := proxied(t)
 	dl := client.Deadlines{Floor: 30 * time.Millisecond, Ceil: 150 * time.Millisecond}
-	c, err := client.DialWithDeadlines(px.Addr(), "chaos-client", "", time.Second, dl)
+	c, err := client.DialWithOptions(px.Addr(), "chaos-client", "", client.DialOptions{Timeout: time.Second, Deadlines: dl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,11 @@
 // and reconstructs lost pages after a server crash.
 //
 // This file holds Conn, the low-level request channel to one server.
-// Conn is safe for concurrent use. On a protocol-v2 session
-// (negotiated at HELLO) it is a multiplexer: a writer goroutine
-// batches outbound tagged frames, a reader goroutine demuxes acks to
-// per-request channels by id, so many requests are in flight on one
-// connection and a late or timed-out ack is discarded by id instead
-// of poisoning the stream. Against a v1 server it degrades to the
-// original strict request/response discipline, serialized on the
-// wire.
+// Conn is safe for concurrent use. After the HELLO handshake it is a
+// multiplexer: a writer goroutine batches outbound tagged frames, a
+// reader goroutine demuxes acks to per-request channels by id, so many
+// requests are in flight on one connection and a late or timed-out ack
+// is discarded by id instead of poisoning the stream.
 package client
 
 import (
@@ -32,9 +29,6 @@ import (
 // Conn is one authenticated protocol connection to a remote memory
 // server.
 type Conn struct {
-	// mu serializes round trips on the wire for v1 sessions. v2
-	// sessions do not take it: the mux owns the stream.
-	mu   sync.Mutex
 	conn net.Conn
 	addr string
 
@@ -43,15 +37,11 @@ type Conn struct {
 	// immutable afterwards.
 	dl Deadlines
 
-	// v2 is true when the HELLO exchange negotiated tagged framing
-	// (wire.Version2) and the mux goroutines are running. Set before
-	// the Conn is shared; immutable afterwards.
-	v2 bool
-	// sendCh feeds the writer goroutine. Created by startMux;
+	// sendCh feeds the writer goroutine. Created by the dial;
 	// immutable afterwards.
 	sendCh chan *wire.Msg
 	// done is closed exactly once when the mux dies (transport error
-	// or Close); it unblocks every waiter. Created by startMux;
+	// or Close); it unblocks every waiter. Created by the dial;
 	// immutable afterwards.
 	done     chan struct{}
 	doneOnce sync.Once
@@ -75,9 +65,7 @@ type Conn struct {
 	// under their id (late replies to timed-out requests).
 	lateDrops atomic.Uint64
 
-	// pressureMu protects the advisory state latched off acks; it is
-	// separate from mu so the pager can poll advisories without
-	// contending with an in-flight round trip.
+	// pressureMu protects the advisory state latched off acks.
 	pressureMu sync.Mutex
 	// pressured is latched when any ack arrives with FlagPressure set;
 	// the pager polls and clears it to drive migration. Guarded by
@@ -158,11 +146,9 @@ func (d Deadlines) withDefaults() Deadlines {
 }
 
 // ErrReqTimeout marks a round trip that missed its adaptive deadline.
-// On a v1 session the connection is poisoned (a late ack would
-// desynchronize the framing) and callers must discard it. On a v2
-// (multiplexed) session the stream stays framed — the late ack is
-// discarded by id when it eventually arrives — so the Conn remains
-// usable. errors.Is(err, ErrReqTimeout) identifies the case.
+// The stream stays framed — the late ack is discarded by id when it
+// eventually arrives — so the Conn remains usable unless Broken.
+// errors.Is(err, ErrReqTimeout) identifies the case.
 var ErrReqTimeout = errors.New("client: request deadline exceeded")
 
 // errMuxClosed reports a request issued on (or in flight over) a
@@ -184,38 +170,20 @@ type DialOptions struct {
 	Deadlines Deadlines
 	// Dial replaces TCP dialing when non-nil.
 	Dial DialFunc
-	// ForceV1 suppresses the protocol-v2 advertisement in HELLO, so
-	// the session stays on strict request/response framing even
-	// against a v2-capable server.
-	ForceV1 bool
 }
 
 // Dial connects to a server, performs the HELLO handshake as
 // clientName with the given auth token, and returns the ready Conn.
 func Dial(addr, clientName, token string) (*Conn, error) {
-	return DialWithTimeout(addr, clientName, token, DialTimeout)
-}
-
-// DialWithTimeout is Dial with an explicit TCP-establishment bound
-// (the heartbeat prober uses the detector's probe timeout here, so a
-// black-holed re-dial cannot outlive the probe deadline).
-func DialWithTimeout(addr, clientName, token string, timeout time.Duration) (*Conn, error) {
-	return DialWithOptions(addr, clientName, token, DialOptions{Timeout: timeout})
-}
-
-// DialWithDeadlines is DialWithTimeout with explicit request-deadline
-// parameters (the pager threads its configured floor/ceiling here).
-func DialWithDeadlines(addr, clientName, token string, timeout time.Duration, dl Deadlines) (*Conn, error) {
-	return DialWithOptions(addr, clientName, token, DialOptions{Timeout: timeout, Deadlines: dl})
+	return DialWithOptions(addr, clientName, token, DialOptions{})
 }
 
 // DialWithOptions is the full-control dial: transport establishment
-// bound, deadline parameters, an injectable transport, and the
-// protocol-version cap. The HELLO is always v1-framed and advertises
-// v2 via FlagV2 (unless ForceV1); a v2-capable server echoes the flag
-// on the HELLO_ACK and both sides switch to tagged framing, at which
-// point the mux goroutines start. A v1 server ignores the flag and
-// the session proceeds exactly as before this protocol revision.
+// bound, deadline parameters and an injectable transport. The
+// handshake is two untagged frames — a HELLO carrying FlagV2 and the
+// HELLO_ACK echoing it — after which every frame is tagged and the mux
+// goroutines own the stream. A server that does not echo the flag does
+// not speak this protocol and the dial fails.
 func DialWithOptions(addr, clientName, token string, opts DialOptions) (*Conn, error) {
 	timeout := opts.Timeout
 	if timeout <= 0 {
@@ -231,44 +199,54 @@ func DialWithOptions(addr, clientName, token string, opts DialOptions) (*Conn, e
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	c := &Conn{conn: nc, addr: addr, dl: opts.Deadlines.withDefaults()}
-	hello := &wire.Msg{Type: wire.THello, Host: clientName, Data: []byte(token)}
-	if !opts.ForceV1 {
-		hello.Flags |= wire.FlagV2
+	c := &Conn{
+		conn:    nc,
+		addr:    addr,
+		dl:      opts.Deadlines.withDefaults(),
+		sendCh:  make(chan *wire.Msg, muxSendBuf),
+		done:    make(chan struct{}),
+		pending: make(map[uint32]chan *wire.Msg),
 	}
-	ack, err := c.roundTripV1(hello)
-	if err != nil {
+	if c.serverFree, err = c.hello(clientName, token); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: hello %s: %w", addr, err)
 	}
-	if err := ack.Status.Err(); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("client: hello %s: %w", addr, err)
-	}
-	c.serverFree = ack.N
-	v2 := !opts.ForceV1 && ack.Flags&wire.FlagV2 != 0
-	wire.Recycle(ack)
-	if v2 {
-		c.startMux()
-	}
+	go c.writeLoop()
+	go c.readLoop()
 	return c, nil
+}
+
+// hello performs the handshake exchange under the adaptive deadline
+// and returns the free-page count the accepting HELLO_ACK reports. Its
+// round trip seeds the RTT estimate, so the first request is already
+// bounded by a measurement.
+func (c *Conn) hello(clientName, token string) (free uint32, err error) {
+	d := c.requestDeadline(len(token))
+	c.conn.SetDeadline(time.Now().Add(d))
+	defer c.conn.SetDeadline(time.Time{})
+	start := time.Now()
+	ack, err := wire.Hello(c.conn, clientName, token)
+	if err != nil {
+		// A miss of the deadline is reported as ErrReqTimeout so the
+		// retry layer counts it; everything else passes through.
+		if isTimeoutErr(err) {
+			err = c.timeoutError(d)
+		}
+		return 0, err
+	}
+	c.observeRTT(time.Since(start).Nanoseconds())
+	c.latchFlags(ack.Flags)
+	free = ack.N
+	wire.Recycle(ack)
+	return free, nil
 }
 
 // Addr returns the server address this connection targets.
 func (c *Conn) Addr() string { return c.addr }
 
-// Multiplexed reports whether the session negotiated protocol v2 —
-// i.e. whether requests pipeline on this Conn and a deadline miss
-// leaves it usable.
-func (c *Conn) Multiplexed() bool { return c.v2 }
-
-// Broken reports whether a multiplexed session has died (transport
-// error or Close). Always false for a live v1 session: a v1 Conn's
-// health is only discovered by using it.
+// Broken reports whether the session has died (transport error or
+// Close). A Conn that merely missed a request deadline is not broken.
 func (c *Conn) Broken() bool {
-	if !c.v2 {
-		return false
-	}
 	c.muxMu.Lock()
 	defer c.muxMu.Unlock()
 	return c.muxErr != nil
@@ -280,11 +258,8 @@ func (c *Conn) LateAcksDropped() uint64 { return c.lateDrops.Load() }
 
 // Close tears the connection down without the BYE exchange.
 func (c *Conn) Close() error {
-	if c.v2 {
-		c.failMux(errMuxClosed)
-		return nil
-	}
-	return c.conn.Close()
+	c.failMux(errMuxClosed)
+	return nil
 }
 
 // reqPayloadBytes estimates the wire payload a request moves in each
@@ -340,55 +315,11 @@ func (c *Conn) observeRTT(sample int64) {
 	c.rttNanos.Store(old + (sample-old)/rttAlpha)
 }
 
-// timeoutErr classifies an I/O failure: a miss of the adaptive
-// deadline is wrapped in ErrReqTimeout so the retry layer can count
-// it; everything else passes through.
-func timeoutErr(err error, addr string, d time.Duration) error {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return fmt.Errorf("%w: no ack from %s within %v", ErrReqTimeout, addr, d)
-	}
-	return err
-}
-
-// roundTrip sends req and reads its ack under the adaptive deadline,
-// dispatching to the session's framing: v1 serializes on the wire, v2
-// goes through the mux and may interleave with other in-flight
-// requests.
+// roundTrip issues req through the mux and waits for its ack under
+// the adaptive deadline, folding the measured service time into the
+// RTT estimate.
 func (c *Conn) roundTrip(req *wire.Msg) (*wire.Msg, error) {
-	if c.v2 {
-		return c.muxRoundTrip(req, c.requestDeadline(reqPayloadBytes(req)), true)
-	}
-	return c.roundTripV1(req)
-}
-
-// roundTripV1 sends req and reads one ack under the adaptive
-// deadline, latching pressure advisories and folding the measured
-// service time into the RTT estimate. A deadline miss poisons the
-// connection (a late ack would desynchronize the request/response
-// framing) — the caller must discard the Conn after any error.
-func (c *Conn) roundTripV1(req *wire.Msg) (*wire.Msg, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := c.requestDeadline(reqPayloadBytes(req))
-	c.conn.SetDeadline(time.Now().Add(d))
-	defer c.conn.SetDeadline(time.Time{})
-	start := time.Now()
-	if err := wire.Encode(c.conn, req); err != nil {
-		return nil, timeoutErr(err, c.addr, d)
-	}
-	ack, err := wire.Decode(c.conn)
-	if err != nil {
-		return nil, timeoutErr(err, c.addr, d)
-	}
-	c.observeRTT(time.Since(start).Nanoseconds())
-	if ack.Type != req.Type.Ack() {
-		typ := ack.Type
-		wire.Recycle(ack)
-		return nil, fmt.Errorf("client: got %v in reply to %v", typ, req.Type)
-	}
-	c.latchFlags(ack.Flags)
-	return ack, nil
+	return c.muxRoundTrip(req, c.requestDeadline(reqPayloadBytes(req)), true)
 }
 
 // latchFlags records advisory flags carried on any ack.
@@ -410,20 +341,6 @@ func (c *Conn) latchFlags(flags uint8) {
 // smooths bursts; a full inbox applies backpressure to callers, whose
 // per-request deadlines still bound the wait.
 const muxSendBuf = 128
-
-// startMux switches the connection to v2 framing and starts the
-// writer and reader goroutines. Called once, from the dial handshake,
-// before the Conn is shared.
-func (c *Conn) startMux() {
-	c.v2 = true
-	c.sendCh = make(chan *wire.Msg, muxSendBuf)
-	c.done = make(chan struct{})
-	c.muxMu.Lock()
-	c.pending = make(map[uint32]chan *wire.Msg)
-	c.muxMu.Unlock()
-	go c.writeLoop()
-	go c.readLoop()
-}
 
 // failMux records the first fatal error, closes the transport, and
 // wakes every in-flight request. Idempotent; safe from any goroutine.
@@ -516,33 +433,49 @@ func (c *Conn) readLoop() {
 // once per inbound frame on the read loop, so it must not allocate:
 // a map lookup, a delete, and a send into a 1-buffered channel.
 // Ownership of a delivered ack (and its pooled frame buffer) passes
-// to the waiter; a late ack is recycled here.
+// to the waiter; a late ack is recycled here. The hand-over happens
+// under muxMu so that abandon, which unregisters and then drains the
+// channel, finds either the table entry or the ack — never neither.
 //
 //rmpvet:hotpath
 func (c *Conn) dispatch(m *wire.Msg) {
 	c.latchFlags(m.Flags)
+	delivered := false
 	c.muxMu.Lock()
-	ch, ok := c.pending[m.ID]
-	if ok {
+	if ch, ok := c.pending[m.ID]; ok {
 		delete(c.pending, m.ID)
+		select {
+		case ch <- m: // 1-buffered, one ack per id: always room
+			delivered = true
+		default:
+		}
 	}
 	c.muxMu.Unlock()
-	if !ok {
+	if !delivered {
 		c.lateDrops.Add(1)
 		wire.Recycle(m)
-		return
 	}
-	ch <- m // 1-buffered; never blocks
 }
 
-// registerReq allocates a request id, stamps req as a tagged frame,
-// and installs its reply channel in the demux table.
-func (c *Conn) registerReq(req *wire.Msg) (uint32, chan *wire.Msg, error) {
-	ch := make(chan *wire.Msg, 1)
+// call is one request in flight on the mux: its id in the demux
+// table, the 1-buffered channel its ack arrives on, and the request
+// type, which fixes the ack type it expects.
+type call struct {
+	id  uint32
+	ch  chan *wire.Msg
+	typ wire.Type
+}
+
+// enqueue allocates a request id, stamps req as a tagged frame,
+// installs its reply channel in the demux table and hands req to the
+// writer. timer bounds the wait for room in the writer's inbox; d is
+// its duration, for the error text.
+func (c *Conn) enqueue(req *wire.Msg, timer *time.Timer, d time.Duration) (call, error) {
+	cl := call{ch: make(chan *wire.Msg, 1), typ: req.Type}
 	c.muxMu.Lock()
 	if c.muxErr != nil {
 		c.muxMu.Unlock()
-		return 0, nil, c.muxError()
+		return call{}, c.muxError()
 	}
 	for {
 		c.nextID++
@@ -550,60 +483,83 @@ func (c *Conn) registerReq(req *wire.Msg) (uint32, chan *wire.Msg, error) {
 			break
 		}
 	}
-	id := c.nextID
-	c.pending[id] = ch
+	cl.id = c.nextID
+	c.pending[cl.id] = cl.ch
 	c.muxMu.Unlock()
 	req.Version = wire.Version2
-	req.ID = id
-	return id, ch, nil
-}
-
-// unregister abandons a pending request (timeout or shutdown); its
-// ack, if it ever arrives, will be dropped by the reader.
-func (c *Conn) unregister(id uint32) {
-	c.muxMu.Lock()
-	delete(c.pending, id)
-	c.muxMu.Unlock()
-}
-
-// muxRoundTrip issues one tagged request and waits for its ack under
-// deadline d. A miss abandons only this request — the connection, and
-// every other request in flight on it, carries on.
-func (c *Conn) muxRoundTrip(req *wire.Msg, d time.Duration, sampleRTT bool) (*wire.Msg, error) {
-	id, ch, err := c.registerReq(req)
-	if err != nil {
-		return nil, err
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	start := time.Now()
+	req.ID = cl.id
 	select {
 	case c.sendCh <- req:
+		return cl, nil
 	case <-c.done:
-		c.unregister(id)
-		return nil, c.muxError()
+		c.abandon(cl)
+		return call{}, c.muxError()
 	case <-timer.C:
-		c.unregister(id)
-		return nil, fmt.Errorf("%w: no ack from %s within %v", ErrReqTimeout, c.addr, d)
+		c.abandon(cl)
+		return call{}, c.timeoutError(d)
 	}
+}
+
+// await waits for cl's ack until timer fires or the mux dies. A miss
+// abandons only this request — the connection, and every other
+// request in flight on it, carries on. Once timer has fired it must
+// not be passed to await again.
+func (c *Conn) await(cl call, timer *time.Timer, d time.Duration) (*wire.Msg, error) {
 	select {
-	case ack := <-ch:
-		if sampleRTT {
-			c.observeRTT(time.Since(start).Nanoseconds())
-		}
-		if ack.Type != req.Type.Ack() {
+	case ack := <-cl.ch:
+		if ack.Type != cl.typ.Ack() {
 			typ := ack.Type
 			wire.Recycle(ack)
-			return nil, fmt.Errorf("client: got %v in reply to %v", typ, req.Type)
+			return nil, fmt.Errorf("client: got %v in reply to %v", typ, cl.typ)
 		}
 		return ack, nil
 	case <-c.done:
-		c.unregister(id)
+		c.abandon(cl)
 		return nil, c.muxError()
 	case <-timer.C:
-		c.unregister(id)
-		return nil, fmt.Errorf("%w: no ack from %s within %v", ErrReqTimeout, c.addr, d)
+		c.abandon(cl)
+		return nil, c.timeoutError(d)
 	}
+}
+
+// abandon gives up on pending requests (timeout or shutdown). An ack
+// that raced the decision into its channel is recycled here; one that
+// arrives later finds no table entry and is dropped by the reader.
+func (c *Conn) abandon(calls ...call) {
+	c.muxMu.Lock()
+	for _, cl := range calls {
+		delete(c.pending, cl.id)
+	}
+	c.muxMu.Unlock()
+	for _, cl := range calls {
+		select {
+		case ack := <-cl.ch:
+			wire.Recycle(ack)
+		default:
+		}
+	}
+}
+
+// timeoutError reports a request that got no ack within d.
+func (c *Conn) timeoutError(d time.Duration) error {
+	return fmt.Errorf("%w: no ack from %s within %v", ErrReqTimeout, c.addr, d)
+}
+
+// muxRoundTrip issues one tagged request and waits for its ack under
+// deadline d.
+func (c *Conn) muxRoundTrip(req *wire.Msg, d time.Duration, sampleRTT bool) (*wire.Msg, error) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	start := time.Now()
+	cl, err := c.enqueue(req, timer, d)
+	if err != nil {
+		return nil, err
+	}
+	ack, err := c.await(cl, timer, d)
+	if err == nil && sampleRTT {
+		c.observeRTT(time.Since(start).Nanoseconds())
+	}
+	return ack, err
 }
 
 // RTT returns the smoothed request round-trip estimate (0 before the
@@ -710,12 +666,14 @@ func (c *Conn) PageIn(key uint64) (page.Buf, error) {
 	return buf, nil
 }
 
-// PageOutBatch stores several pages in one pipelined exchange: all
-// requests are written back to back, then all acks are read. On a
-// network with real latency this costs ~one round trip for the whole
-// batch instead of one per page (used by bulk paths like recovery
-// re-homing and VM flushes). Returns the first failure, after
-// draining every ack so the connection stays framed.
+// PageOutBatch stores several pages in one pipelined exchange: every
+// request is registered and enqueued up front, then the acks are
+// collected under one shared deadline. On a network with real latency
+// this costs ~one round trip for the whole batch instead of one per
+// page (used by bulk paths like recovery re-homing and VM flushes).
+// Returns the first failed status after collecting every ack; a
+// deadline miss or a mistyped ack abandons the unanswered requests and
+// leaves the connection healthy.
 func (c *Conn) PageOutBatch(keys []uint64, pages []page.Buf) error {
 	if len(keys) != len(pages) {
 		return fmt.Errorf("client: batch of %d keys with %d pages", len(keys), len(pages))
@@ -728,91 +686,33 @@ func (c *Conn) PageOutBatch(keys []uint64, pages []page.Buf) error {
 			return err
 		}
 	}
-	if c.v2 {
-		return c.pageOutBatchMux(keys, pages)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	// The whole batch shares one deadline: the per-request estimate
 	// plus the per-byte allowance over every page in flight.
-	d := c.requestDeadline(len(keys) * page.Size)
-	c.conn.SetDeadline(time.Now().Add(d))
-	defer c.conn.SetDeadline(time.Time{})
-	start := time.Now()
-	for i, key := range keys {
-		req := (&wire.Msg{Type: wire.TPageOut, Key: key, Data: pages[i]}).WithChecksum()
-		if err := wire.Encode(c.conn, req); err != nil {
-			return timeoutErr(err, c.addr, d)
-		}
-	}
-	var firstErr error
-	for range keys {
-		ack, err := wire.Decode(c.conn)
-		if err != nil {
-			return timeoutErr(err, c.addr, d) // stream broken; cannot drain further
-		}
-		c.latchFlags(ack.Flags)
-		if e := ack.Status.Err(); e != nil && firstErr == nil {
-			firstErr = e
-		}
-		wire.Recycle(ack)
-	}
-	// One batch = one latency sample per page on average.
-	c.observeRTT(time.Since(start).Nanoseconds() / int64(len(keys)))
-	return firstErr
-}
-
-// pageOutBatchMux is PageOutBatch over a multiplexed session: every
-// request is registered and enqueued up front, then the acks are
-// collected in any order under one shared deadline. Unlike the v1
-// batch, a deadline miss abandons only the unanswered requests — the
-// connection stays healthy.
-func (c *Conn) pageOutBatchMux(keys []uint64, pages []page.Buf) error {
 	d := c.requestDeadline(len(keys) * page.Size)
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	start := time.Now()
-	ids := make([]uint32, 0, len(keys))
-	chans := make([]chan *wire.Msg, 0, len(keys))
-	abandon := func(from int) {
-		for _, id := range ids[from:] {
-			c.unregister(id)
-		}
-	}
+	calls := make([]call, 0, len(keys))
 	for i, key := range keys {
 		req := (&wire.Msg{Type: wire.TPageOut, Key: key, Data: pages[i]}).WithChecksum()
-		id, ch, err := c.registerReq(req)
+		cl, err := c.enqueue(req, timer, d)
 		if err != nil {
-			abandon(0)
+			c.abandon(calls...)
 			return err
 		}
-		ids = append(ids, id)
-		chans = append(chans, ch)
-		select {
-		case c.sendCh <- req:
-		case <-c.done:
-			abandon(0)
-			return c.muxError()
-		case <-timer.C:
-			abandon(0)
-			return fmt.Errorf("%w: no ack from %s within %v", ErrReqTimeout, c.addr, d)
-		}
+		calls = append(calls, cl)
 	}
 	var firstErr error
-	for i, ch := range chans {
-		select {
-		case ack := <-ch:
-			if e := ack.Status.Err(); e != nil && firstErr == nil {
-				firstErr = e
-			}
-			wire.Recycle(ack)
-		case <-c.done:
-			abandon(i)
-			return c.muxError()
-		case <-timer.C:
-			abandon(i)
-			return fmt.Errorf("%w: no ack from %s within %v", ErrReqTimeout, c.addr, d)
+	for i, cl := range calls {
+		ack, err := c.await(cl, timer, d)
+		if err != nil {
+			c.abandon(calls[i+1:]...)
+			return err
 		}
+		if e := ack.Status.Err(); e != nil && firstErr == nil {
+			firstErr = e
+		}
+		wire.Recycle(ack)
 	}
 	// One batch = one latency sample per page on average.
 	c.observeRTT(time.Since(start).Nanoseconds() / int64(len(keys)))
@@ -894,32 +794,21 @@ func (c *Conn) XorDelta(key uint64, data page.Buf) error {
 	return status.Err()
 }
 
-// Ping performs one heartbeat probe bounded by timeout. It returns
-// the server's free-page count, whether the server is draining, and
-// any peer addresses the server gossips back. On a v1 session a Ping
-// that misses its deadline poisons the connection (a late PONG would
-// desynchronize the request/response framing), so callers must
-// discard the Conn after an error; a multiplexed session drops the
-// late PONG by id and stays usable.
+// Ping performs one heartbeat probe bounded by timeout (0 means the
+// adaptive deadline). It returns the server's free-page count, whether
+// the server is draining, and any peer addresses the server gossips
+// back. A late PONG is dropped by id, so the Conn stays usable after a
+// missed deadline.
 func (c *Conn) Ping(timeout time.Duration) (free int, draining bool, peers []string, err error) {
-	var ack *wire.Msg
-	if c.v2 {
-		d := timeout
-		if d <= 0 {
-			d = c.requestDeadline(0)
-		}
-		// Heartbeats bypass the RTT estimate on purpose: PING skips
-		// the server's service-delay model, so its latency is not a
-		// fair sample of page-service time.
-		ack, err = c.muxRoundTrip(&wire.Msg{Type: wire.TPing}, d, false)
-		if err != nil {
-			return 0, false, nil, err
-		}
-	} else {
-		ack, err = c.pingV1(timeout)
-		if err != nil {
-			return 0, false, nil, err
-		}
+	if timeout <= 0 {
+		timeout = c.requestDeadline(0)
+	}
+	// Heartbeats bypass the RTT estimate on purpose: PING skips the
+	// server's service-delay model, so its latency is not a fair
+	// sample of page-service time.
+	ack, err := c.muxRoundTrip(&wire.Msg{Type: wire.TPing}, timeout, false)
+	if err != nil {
+		return 0, false, nil, err
 	}
 	if err := ack.Status.Err(); err != nil {
 		wire.Recycle(ack)
@@ -935,29 +824,6 @@ func (c *Conn) Ping(timeout time.Duration) (free int, draining bool, peers []str
 	free = int(ack.N)
 	wire.Recycle(ack)
 	return free, draining, peers, nil
-}
-
-// pingV1 is the strict request/response heartbeat exchange.
-func (c *Conn) pingV1(timeout time.Duration) (*wire.Msg, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(timeout))
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	// No RTT sample here either; see Ping.
-	if err := wire.Encode(c.conn, &wire.Msg{Type: wire.TPing}); err != nil {
-		return nil, err
-	}
-	ack, err := wire.Decode(c.conn)
-	if err != nil {
-		return nil, err
-	}
-	if ack.Type != wire.TPong {
-		return nil, fmt.Errorf("client: got %v in reply to PING", ack.Type)
-	}
-	c.latchFlags(ack.Flags)
-	return ack, nil
 }
 
 // Join announces another server's address to this server, which will

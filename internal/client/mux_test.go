@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,22 +15,32 @@ import (
 	"rmp/internal/wire"
 )
 
-// End-to-end tests for the multiplexed (protocol v2) client session:
-// version negotiation with v1 fallback, concurrent round trips on one
-// Conn, and the acceptance scenario — a deliberately stalled response
-// times out without poisoning the connection, and its late ack is
-// discarded by request id when it finally arrives.
+// End-to-end tests for the multiplexed client session: the handshake
+// and its refusal, concurrent round trips on one Conn, and the
+// acceptance scenario — a deliberately stalled response times out
+// without poisoning the connection, and its late ack is discarded by
+// request id when it finally arrives.
 
-// stallServer is a scriptable v2 server: it performs the HELLO
-// negotiation, answers PAGEOUT/PAGEIN from an in-memory map, and
-// withholds the response to any request whose key is in stall until
-// release is closed. Responses are written from per-request
-// goroutines, so non-stalled requests keep completing — exactly the
-// behaviour a pipelined session must exploit.
+// stallServer is a scriptable server: it performs the HELLO handshake,
+// answers PAGEOUT/PAGEIN from an in-memory map, and withholds the
+// response to any PAGEIN whose key is in stall (or PAGEOUT whose key
+// is in stallOut) until release is closed. Responses are written from
+// per-request goroutines, so non-stalled requests keep completing —
+// exactly the behaviour a pipelined session must exploit. The
+// misbehaviour knobs (stallOut, mistype, noEcho) are set by the test
+// before it dials.
 type stallServer struct {
 	ln      net.Listener
 	stall   map[uint64]bool
 	release chan struct{}
+	// stallOut holds keys whose PAGEOUT ack is withheld like a stalled
+	// PAGEIN's.
+	stallOut map[uint64]bool
+	// mistype holds keys whose PAGEOUT is answered with a PAGEIN_ACK.
+	mistype map[uint64]bool
+	// noEcho makes the HELLO_ACK omit FlagV2, as a server from before
+	// tagged framing would.
+	noEcho bool
 
 	mu    sync.Mutex
 	pages map[uint64][]byte // Guarded by mu.
@@ -39,10 +50,12 @@ type stallServer struct {
 func newStallServer(t *testing.T, ln net.Listener, stallKeys ...uint64) *stallServer {
 	t.Helper()
 	s := &stallServer{
-		ln:      ln,
-		stall:   make(map[uint64]bool),
-		release: make(chan struct{}),
-		pages:   make(map[uint64][]byte),
+		ln:       ln,
+		stall:    make(map[uint64]bool),
+		release:  make(chan struct{}),
+		stallOut: make(map[uint64]bool),
+		mistype:  make(map[uint64]bool),
+		pages:    make(map[uint64][]byte),
 	}
 	for _, k := range stallKeys {
 		s.stall[k] = true
@@ -76,28 +89,31 @@ func (s *stallServer) acceptLoop() {
 func (s *stallServer) serve(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	hello, err := wire.Decode(conn)
+	hello, err := wire.DecodePooled(conn)
 	if err != nil || hello.Type != wire.THello {
 		return
 	}
 	ack := &wire.Msg{Type: wire.THelloAck, Status: wire.StatusOK, N: 1 << 20}
-	ack.Flags |= hello.Flags & wire.FlagV2 // echo = accept v2
+	if !s.noEcho {
+		ack.Flags |= hello.Flags & wire.FlagV2
+	}
+	wire.Recycle(hello)
 	if err := wire.Encode(conn, ack); err != nil {
 		return
 	}
 	// Replies race on the shared conn; wmu keeps frames whole.
 	var wmu sync.Mutex
 	for {
-		m, err := wire.Decode(conn)
+		m, err := wire.DecodePooled(conn)
 		if err != nil {
 			return
 		}
 		s.wg.Add(1)
 		go func(m *wire.Msg) {
 			defer s.wg.Done()
-			// Only reads stall, so tests can seed stalled keys with a
-			// normal PAGEOUT first.
-			if m.Type == wire.TPageIn && s.stall[m.Key] {
+			// Reads stall on stall, writes on stallOut, so tests can
+			// seed a stalled read's key with a normal PAGEOUT first.
+			if (m.Type == wire.TPageIn && s.stall[m.Key]) || (m.Type == wire.TPageOut && s.stallOut[m.Key]) {
 				select {
 				case <-s.release:
 				case <-time.After(30 * time.Second):
@@ -106,6 +122,7 @@ func (s *stallServer) serve(conn net.Conn) {
 			resp := s.respond(m)
 			resp.Version = m.Version
 			resp.ID = m.ID
+			wire.Recycle(m)
 			wmu.Lock()
 			wire.Encode(conn, resp)
 			wmu.Unlock()
@@ -119,6 +136,9 @@ func (s *stallServer) respond(m *wire.Msg) *wire.Msg {
 	switch m.Type {
 	case wire.TPageOut:
 		s.pages[m.Key] = append([]byte(nil), m.Data...)
+		if s.mistype[m.Key] {
+			return &wire.Msg{Type: wire.TPageInAck, Key: m.Key, Status: wire.StatusOK}
+		}
 		return &wire.Msg{Type: wire.TPageOutAck, Key: m.Key, Status: wire.StatusOK}
 	case wire.TPageIn:
 		data, ok := s.pages[m.Key]
@@ -131,7 +151,7 @@ func (s *stallServer) respond(m *wire.Msg) *wire.Msg {
 	}
 }
 
-// dialStallServer connects a v2 client with tight, fixed request
+// dialStallServer connects a client with tight, fixed request
 // deadlines so a stalled request costs the test milliseconds.
 func dialStallServer(t *testing.T, nw *memnet.Network, addr string) *client.Conn {
 	t.Helper()
@@ -143,9 +163,6 @@ func dialStallServer(t *testing.T, nw *memnet.Network, addr string) *client.Conn
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if !c.Multiplexed() {
-		t.Fatal("v2 server did not negotiate a multiplexed session")
-	}
 	return c
 }
 
@@ -222,35 +239,101 @@ func TestMuxStalledRequestDoesNotPoisonConn(t *testing.T) {
 	}
 }
 
-// TestMuxForceV1Fallback: a client capped to protocol v1 gets a plain
-// strict request/response session from a v2-capable server, and the
-// data path still works.
-func TestMuxForceV1Fallback(t *testing.T) {
-	c := newCluster(t, 1, 64)
-	conn, err := client.DialWithOptions(c.addrs[0], "v1-test", "", client.DialOptions{
-		Dial:    c.net.DialTimeout,
-		ForceV1: true,
+// TestDialRejectsServerWithoutV2Echo: a server that accepts the HELLO
+// but does not echo FlagV2 predates tagged framing. The dial fails at
+// once — no silent fallback, no hang — and leaves nothing running.
+func TestDialRejectsServerWithoutV2Echo(t *testing.T) {
+	nw := memnet.New()
+	srv := newStallServer(t, nw.MustListen("old:7077"))
+	srv.noEcho = true
+	before := runtime.NumGoroutine()
+	start := time.Now()
+	c, err := client.DialWithOptions("old:7077", "mux-test", "", client.DialOptions{Dial: nw.DialTimeout})
+	if err == nil {
+		c.Close()
+		t.Fatal("dial succeeded against a server that did not echo FlagV2")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("refusal took %v, want prompt (err: %v)", d, err)
+	}
+	if errors.Is(err, client.ErrReqTimeout) {
+		t.Fatalf("refusal surfaced as a timeout: %v", err)
+	}
+	waitUntil(t, 5*time.Second, "the failed dial's goroutines to exit", func() bool {
+		return runtime.NumGoroutine() <= before
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// framesOutstanding is the number of frame-class pool buffers handed
+// out and not yet returned, process-wide.
+func framesOutstanding() int64 {
+	_, f := page.Stats()
+	return int64(f.Gets) - int64(f.Puts) - int64(f.Discards)
+}
+
+// TestBatchRecyclesAbandonedAcks: a batch that gives up — on a missed
+// deadline or on a mistyped ack — must hand every ack frame it was
+// already given back to the pool, whether the ack sat delivered in its
+// channel when the batch bailed out or arrived afterwards.
+func TestBatchRecyclesAbandonedAcks(t *testing.T) {
+	const n = 64
+	keys := make([]uint64, n)
+	pages := make([]page.Buf, n)
+	for i := range keys {
+		keys[i] = uint64(i)
+		pages[i] = mkPage(uint64(i))
 	}
-	defer conn.Close()
-	if conn.Multiplexed() {
-		t.Fatal("ForceV1 session negotiated v2 anyway")
-	}
-	if err := conn.PageOut(1, mkPage(1)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := conn.PageIn(1)
-	if err != nil || got.Checksum() != mkPage(1).Checksum() {
-		t.Fatalf("v1 round trip: %v", err)
+	for name, tc := range map[string]struct {
+		arm   func(*stallServer)
+		check func(*testing.T, *client.Conn, *stallServer, error)
+	}{
+		// The first request's ack is withheld: the other 63 acks are
+		// delivered and sit in their channels when the deadline fires.
+		"stalled": {
+			arm: func(s *stallServer) { s.stallOut[keys[0]] = true },
+			check: func(t *testing.T, c *client.Conn, s *stallServer, err error) {
+				if !errors.Is(err, client.ErrReqTimeout) {
+					t.Fatalf("stalled batch: got %v, want ErrReqTimeout", err)
+				}
+				close(s.release)
+				waitUntil(t, 5*time.Second, "late batch ack to be discarded", func() bool {
+					return c.LateAcksDropped() >= 1
+				})
+			},
+		},
+		"mistyped": {
+			arm: func(s *stallServer) { s.mistype[keys[0]] = true },
+			check: func(t *testing.T, c *client.Conn, s *stallServer, err error) {
+				if err == nil || errors.Is(err, client.ErrReqTimeout) {
+					t.Fatalf("batch with a PAGEIN_ACK in it: got %v, want a type-mismatch error", err)
+				}
+			},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := framesOutstanding()
+			nw := memnet.New()
+			srv := newStallServer(t, nw.MustListen("batch:7077"))
+			tc.arm(srv)
+			c := dialStallServer(t, nw, "batch:7077")
+			tc.check(t, c, srv, c.PageOutBatch(keys, pages))
+			if c.Broken() {
+				t.Fatal("abandoned batch broke the connection")
+			}
+			if err := c.PageOut(n, mkPage(n)); err != nil {
+				t.Fatalf("pageout after the abandoned batch: %v", err)
+			}
+			c.Close()
+			waitUntil(t, 5*time.Second, "every ack frame to return to the pool", func() bool {
+				return framesOutstanding() <= base
+			})
+		})
 	}
 }
 
-// TestMuxNegotiatedAgainstRealServer: the default dial against the
-// real server negotiates v2 and survives concurrent traffic from many
-// goroutines sharing one Conn.
-func TestMuxNegotiatedAgainstRealServer(t *testing.T) {
+// TestMuxAgainstRealServer: a Conn to the real server survives
+// concurrent traffic from many goroutines sharing it.
+func TestMuxAgainstRealServer(t *testing.T) {
 	c := newCluster(t, 1, 1024)
 	conn, err := client.DialWithOptions(c.addrs[0], "mux-real", "", client.DialOptions{
 		Dial: c.net.DialTimeout,
@@ -259,9 +342,6 @@ func TestMuxNegotiatedAgainstRealServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if !conn.Multiplexed() {
-		t.Fatal("real server did not negotiate v2")
-	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -293,7 +373,7 @@ func TestMuxNegotiatedAgainstRealServer(t *testing.T) {
 	}
 }
 
-// TestPipelinedPageOutBatch: the v2 batch path registers every request
+// TestPipelinedPageOutBatch: the batch path registers every request
 // before the first ack arrives, so a full batch round-trips through
 // the real server and reads back intact.
 func TestPipelinedPageOutBatch(t *testing.T) {

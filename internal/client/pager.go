@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"os"
 	"sync"
 	"time"
 
@@ -181,11 +180,6 @@ type Config struct {
 	// probes, and membership revival. Tests inject a deterministic
 	// in-memory transport (internal/memnet) here.
 	Dial DialFunc
-	// ForceWireV1 keeps every connection on protocol v1 (strict
-	// request/response framing) even against v2-capable servers.
-	// The RMP_WIRE_V1 environment variable forces it globally — CI
-	// uses it to run the same suite over both negotiation paths.
-	ForceWireV1 bool
 }
 
 // Stats counts pager activity.
@@ -399,9 +393,6 @@ func New(cfg Config) (*Pager, error) {
 	if cfg.ClientName == "" {
 		cfg.ClientName = "rmp-client"
 	}
-	if os.Getenv("RMP_WIRE_V1") != "" {
-		cfg.ForceWireV1 = true
-	}
 	p := &Pager{
 		cfg:            cfg,
 		table:          make(map[page.ID]*location),
@@ -445,7 +436,7 @@ func New(cfg Config) (*Pager, error) {
 	// The membership layer starts last: its callbacks need p.pol.
 	if cfg.Membership != nil {
 		p.rep = membership.NewReprotector()
-		p.prober = newHBProber(cfg.ClientName, cfg.AuthToken, cfg.Dial, cfg.ForceWireV1)
+		p.prober = newHBProber(cfg.ClientName, cfg.AuthToken, cfg.Dial)
 		p.hb = membership.NewDetector(*cfg.Membership, p.prober, p.onMemberEvent, p.onMemberAck)
 		for _, rs := range p.servers {
 			p.hb.Track(rs.addr)
@@ -921,13 +912,12 @@ func (p *Pager) sendPages(reqs []sendReq) []error {
 		}
 		if errs[i] != nil && isConnError(errs[i]) {
 			// The concurrent attempt ran outside the retry layer; give
-			// the transfer its bounded retries now, serially. On a v1
-			// session the conn is poisoned (a late response would alias
-			// a replay), so it is closed first and withConn re-dials; a
-			// v2 session stays framed across a deadline miss — the late
-			// ack is discarded by request id — so the conn is kept.
+			// the transfer its bounded retries now, serially. The
+			// session stays framed across a deadline miss — the late
+			// ack is discarded by request id — so the conn is kept
+			// unless it is broken.
 			p.noteTransportFailure(rs, errs[i])
-			if !(errors.Is(errs[i], ErrReqTimeout) && rs.conn.Multiplexed() && !rs.conn.Broken()) {
+			if !errors.Is(errs[i], ErrReqTimeout) || rs.conn.Broken() {
 				rs.conn.Close()
 			}
 			errs[i] = p.withConn(r.srv, true, func(c *Conn) error {

@@ -19,10 +19,9 @@ import (
 // suspicion, and a heartbeat cannot queue behind a slow pageout.
 type hbProber struct {
 	clientName, token string
-	// dial is the injected transport (nil = TCP) and forceV1 the
-	// protocol cap; both mirror the pager's Config.
-	dial    DialFunc
-	forceV1 bool
+	// dial is the injected transport (nil = TCP), mirroring the
+	// pager's Config.
+	dial DialFunc
 
 	mu sync.Mutex
 	// conns caches one heartbeat connection per server address.
@@ -33,8 +32,8 @@ type hbProber struct {
 	closed bool
 }
 
-func newHBProber(clientName, token string, dial DialFunc, forceV1 bool) *hbProber {
-	return &hbProber{clientName: clientName, token: token, dial: dial, forceV1: forceV1, conns: make(map[string]*Conn)}
+func newHBProber(clientName, token string, dial DialFunc) *hbProber {
+	return &hbProber{clientName: clientName, token: token, dial: dial, conns: make(map[string]*Conn)}
 }
 
 var errProberClosed = errors.New("client: heartbeat prober closed")
@@ -59,7 +58,6 @@ func (h *hbProber) Probe(addr string, timeout time.Duration) (membership.Ack, er
 			Timeout:   timeout,
 			Deadlines: Deadlines{Floor: timeout, Ceil: timeout},
 			Dial:      h.dial,
-			ForceV1:   h.forceV1,
 		})
 		if err != nil {
 			return membership.Ack{}, err

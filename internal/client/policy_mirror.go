@@ -27,10 +27,10 @@ func (m *mirrorPolicy) pageOut(id page.ID, data page.Buf) error {
 
 	// Overwrite existing replicas in place — both transfers in
 	// flight simultaneously, so the pageout costs one round trip.
-	// On a v2 session each transfer additionally shares its server's
-	// multiplexed connection with any concurrent pager traffic rather
-	// than queueing behind it. Replicas whose server died mid-write
-	// are dropped.
+	// Each transfer additionally shares its server's multiplexed
+	// connection with any concurrent pager traffic rather than
+	// queueing behind it. Replicas whose server died mid-write are
+	// dropped.
 	if len(loc.replicas) > 0 {
 		reqs := make([]sendReq, 0, len(loc.replicas))
 		refs := make([]slotRef, 0, len(loc.replicas))

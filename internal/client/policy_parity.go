@@ -433,8 +433,8 @@ func (pp *parityPolicy) recomputeGroups() error {
 // recomputeAndShipParity recomputes every group's parity page from
 // the live member data and ships the whole set to the parity server
 // in ONE pipelined batch (sendPageBatch) instead of one round trip
-// per group — on a v2 session the rebuild of an N-group layout costs
-// roughly one parity-server round trip total. A member read that
+// per group — the rebuild of an N-group layout costs roughly one
+// parity-server round trip total. A member read that
 // fails leaves that group's parity computed from the readable members
 // and is reported as the first error; when recovered is set each
 // group counts toward Stats.Recovered.

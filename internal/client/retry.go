@@ -85,14 +85,12 @@ func (p *Pager) deadlines() Deadlines {
 }
 
 // dialOpts bundles the pager's connection knobs for a dial bounded by
-// timeout: adaptive deadlines, the injected transport, and the
-// protocol-version cap.
+// timeout: adaptive deadlines and the injected transport.
 func (p *Pager) dialOpts(timeout time.Duration) DialOptions {
 	return DialOptions{
 		Timeout:   timeout,
 		Deadlines: p.deadlines(),
 		Dial:      p.cfg.Dial,
-		ForceV1:   p.cfg.ForceWireV1,
 	}
 }
 
@@ -154,9 +152,9 @@ func (p *Pager) sleepBackoff(attempt int, budgetEnd time.Time) bool {
 // connection) until they succeed or the retry budget is exhausted;
 // non-idempotent ops (XORDELTA) get exactly one bounded attempt.
 // Checksum failures are retried in place (the stream stays framed),
-// and so are deadline misses on a multiplexed (v2) session — the late
-// ack is dropped by id, the session stays healthy; other transport
-// failures poison the connection and re-dial.
+// and so are deadline misses — the late ack is dropped by id, the
+// session stays healthy; other transport failures poison the
+// connection and re-dial.
 //
 // On return with a transport-level error the server's connection is
 // closed; callers route such errors to serverDied, whose recovery
@@ -223,13 +221,12 @@ func (p *Pager) withConn(srv int, idempotent bool, op func(*Conn) error) error {
 		}
 		lastErr = err
 		p.noteTransportFailure(rs, err)
-		if errors.Is(err, ErrReqTimeout) && rs.conn.Multiplexed() && !rs.conn.Broken() {
-			// A multiplexed session survives a deadline miss: the late
-			// ack is discarded by id, the stream stays framed. Keep
-			// the connection and replay on it — the breaker still
-			// counted the timeout, so a persistently wedged server
-			// fail-fasts regardless.
-		} else {
+		// The session survives a deadline miss: the late ack is
+		// discarded by id, the stream stays framed. Keep the
+		// connection and replay on it — the breaker still counted the
+		// timeout, so a persistently wedged server fail-fasts
+		// regardless. Anything else discards it.
+		if !errors.Is(err, ErrReqTimeout) || rs.conn.Broken() {
 			rs.conn.Close()
 			broken = true
 		}

@@ -15,12 +15,12 @@ import (
 
 // This file measures the zero-copy, allocation-free hot path: the
 // word-wide XOR kernel against the byte-loop reference (acceptance:
-// >= 4x), the nibble-table RS encoder, and the mux frame codec before
-// and after pooling — per-frame Encode/Decode (one fresh buffer and
-// Msg per frame) against the batching FrameWriter writev path and the
-// pooled decoder (zero steady-state allocations, enforced at runtime
-// by the alloc gates in internal/client and statically by rmpvet
-// -escapes). The machine-readable result lands in BENCH_hotpath.json
+// >= 4x), the nibble-table RS encoder, and the mux frame codec —
+// per-frame Encode (one fresh buffer per frame) against the batching
+// FrameWriter writev path, and the pooled decoder (zero steady-state
+// allocations, enforced at runtime by the alloc gates in
+// internal/client and statically by rmpvet -escapes). The
+// machine-readable result lands in BENCH_hotpath.json
 // so CI can hold the kernel speedup and zero-alloc claims over time.
 
 // HotpathStats is the machine-readable benchmark result.
@@ -45,11 +45,8 @@ type HotpathStats struct {
 	FrameWriterBytesPerOp   float64 `json:"framewriter_bytes_per_frame"`
 	FrameWriterBatch        int     `json:"framewriter_batch"`
 
-	// Frame input: plain Decode (fresh buffers per frame) vs
-	// DecodePooled + Recycle (pooled frame buffer and Msg).
-	DecodeFramesPerSec       float64 `json:"decode_frames_per_sec"`
-	DecodeAllocsPerFrame     float64 `json:"decode_allocs_per_frame"`
-	DecodeBytesPerFrame      float64 `json:"decode_bytes_per_frame"`
+	// Frame input: DecodePooled + Recycle (pooled frame buffer and
+	// Msg).
 	DecodePooledFramesPerSec float64 `json:"decode_pooled_frames_per_sec"`
 	DecodePooledAllocsPerOp  float64 `json:"decode_pooled_allocs_per_frame"`
 	DecodePooledBytesPerOp   float64 `json:"decode_pooled_bytes_per_frame"`
@@ -169,25 +166,12 @@ func hotpathTo(jsonPath string) (*Table, *HotpathStats, error) {
 	st.FrameWriterAllocsPerOp = float64(fwRes.AllocsPerOp())
 	st.FrameWriterBytesPerOp = float64(fwRes.AllocedBytesPerOp())
 
-	// --- frame input: Decode vs DecodePooled -------------------------
+	// --- frame input: DecodePooled ------------------------------------
 	var raw bytes.Buffer
 	if err := wire.Encode(&raw, msg); err != nil {
 		return nil, nil, err
 	}
 	r := bytes.NewReader(raw.Bytes())
-	decRes := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.Reset(raw.Bytes())
-			if _, err := wire.Decode(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	st.DecodeFramesPerSec = fps(decRes)
-	st.DecodeAllocsPerFrame = float64(decRes.AllocsPerOp())
-	st.DecodeBytesPerFrame = float64(decRes.AllocedBytesPerOp())
-
 	decPoolRes := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -240,8 +224,6 @@ func hotpathTo(jsonPath string) (*Table, *HotpathStats, error) {
 				fmt.Sprintf("%.0f", st.EncodeAllocsPerFrame), fmt.Sprintf("%.0f", st.EncodeBytesPerFrame)},
 			{"FrameWriter writev", fmt.Sprintf("%.0f frames/s", st.FrameWriterFramesPerSec),
 				fmt.Sprintf("%.0f", st.FrameWriterAllocsPerOp), fmt.Sprintf("%.0f", st.FrameWriterBytesPerOp)},
-			{"per-frame Decode", fmt.Sprintf("%.0f frames/s", st.DecodeFramesPerSec),
-				fmt.Sprintf("%.0f", st.DecodeAllocsPerFrame), fmt.Sprintf("%.0f", st.DecodeBytesPerFrame)},
 			{"DecodePooled+Recycle", fmt.Sprintf("%.0f frames/s", st.DecodePooledFramesPerSec),
 				fmt.Sprintf("%.0f", st.DecodePooledAllocsPerOp), fmt.Sprintf("%.0f", st.DecodePooledBytesPerOp)},
 			{"pool Get/Put", fmt.Sprintf("%.1f ns/op", st.PooledGetPutNanos), "0", "0"},

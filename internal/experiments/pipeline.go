@@ -11,15 +11,15 @@ import (
 	"rmp/internal/server"
 )
 
-// This file measures the protocol-v2 pipelining win: the same pageout
-// workload run three ways against one live loopback server whose page
-// service costs a fixed ServiceDelay (standing in for the ~ms of
-// store latency a loaded 1996 rmemd showed). On the v1 session every
-// pageout is a strict request/response round trip, so the delays
-// serialize; on a multiplexed v2 session the batch path keeps many
-// requests in flight and the server overlaps their service, so the
-// delays overlap too. The machine-readable result lands in
-// BENCH_pipeline.json so CI can track the perf trajectory.
+// This file measures the pipelining win: the same pageout workload
+// run two ways against one live loopback server whose page service
+// costs a fixed ServiceDelay (standing in for the ~ms of store latency
+// a loaded 1996 rmemd showed). Issued one at a time, every pageout is
+// a full round trip, so the delays serialize; the batch path keeps
+// many requests in flight on the same session and the server overlaps
+// their service, so the delays overlap too. The machine-readable
+// result lands in BENCH_pipeline.json so CI can track the perf
+// trajectory.
 
 // pipelineServiceDelay models per-request service time at the server.
 // It dominates the loopback RTT, which makes the serial-vs-pipelined
@@ -31,10 +31,9 @@ type PipelineStats struct {
 	Pages           int     `json:"pages"`
 	BatchSize       int     `json:"batch_size"`
 	ServiceDelayUS  int64   `json:"service_delay_us"`
-	SerialV1PagesPS float64 `json:"serial_v1_pages_per_sec"`
-	SerialV2PagesPS float64 `json:"serial_v2_pages_per_sec"`
-	PipelinePagesPS float64 `json:"pipelined_v2_pages_per_sec"`
-	Speedup         float64 `json:"pipelined_over_serial_v1"`
+	SerialPagesPS   float64 `json:"serial_pages_per_sec"`
+	PipelinePagesPS float64 `json:"pipelined_pages_per_sec"`
+	Speedup         float64 `json:"pipelined_over_serial"`
 }
 
 // Pipeline runs the benchmark and writes BENCH_pipeline.json to the
@@ -64,19 +63,12 @@ func pipelineTo(jsonPath string) (*Table, *PipelineStats, error) {
 	data := page.NewBuf()
 	data.Fill(7)
 
-	// Serial pageouts on a v1-capped session: one round trip per page.
-	serialV1, err := pipelineSerial(addr, true, 0, nPages, data)
+	// Depth 1: one round trip per page.
+	serial, err := pipelineSerial(addr, 0, nPages, data)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Serial pageouts on a v2 session: the request ids and the mux
-	// goroutines must cost nothing when nothing is pipelined.
-	serialV2, err := pipelineSerial(addr, false, 10_000, nPages, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Pipelined batches on the v2 session.
-	pipelined, err := pipelineBatched(addr, 20_000, nPages, batch, data)
+	pipelined, err := pipelineBatched(addr, 10_000, nPages, batch, data)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -86,11 +78,10 @@ func pipelineTo(jsonPath string) (*Table, *PipelineStats, error) {
 		Pages:           nPages,
 		BatchSize:       batch,
 		ServiceDelayUS:  pipelineServiceDelay.Microseconds(),
-		SerialV1PagesPS: pps(serialV1),
-		SerialV2PagesPS: pps(serialV2),
+		SerialPagesPS:   pps(serial),
 		PipelinePagesPS: pps(pipelined),
 	}
-	stats.Speedup = stats.PipelinePagesPS / stats.SerialV1PagesPS
+	stats.Speedup = stats.PipelinePagesPS / stats.SerialPagesPS
 
 	if jsonPath != "" {
 		blob, err := json.MarshalIndent(stats, "", "  ")
@@ -107,15 +98,12 @@ func pipelineTo(jsonPath string) (*Table, *PipelineStats, error) {
 	}
 	t := &Table{
 		ID:     "PIPELINE",
-		Title:  "Sequential vs pipelined pageout throughput (protocol v2 multiplexing)",
-		Header: []string{"mode", "pages", "elapsed", "pages/s", "MB/s", "vs serial v1"},
+		Title:  "Sequential vs pipelined pageout throughput (request multiplexing)",
+		Header: []string{"mode", "pages", "elapsed", "pages/s", "MB/s", "vs serial"},
 		Rows: [][]string{
-			{"serial v1", fmt.Sprint(nPages), serialV1.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.0f", stats.SerialV1PagesPS), mbps(stats.SerialV1PagesPS), "1.00x"},
-			{"serial v2", fmt.Sprint(nPages), serialV2.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.0f", stats.SerialV2PagesPS), mbps(stats.SerialV2PagesPS),
-				fmt.Sprintf("%.2fx", stats.SerialV2PagesPS/stats.SerialV1PagesPS)},
-			{fmt.Sprintf("pipelined v2 (batch %d)", batch), fmt.Sprint(nPages),
+			{"serial (depth 1)", fmt.Sprint(nPages), serial.Round(time.Millisecond).String(),
+				fmt.Sprintf("%.0f", stats.SerialPagesPS), mbps(stats.SerialPagesPS), "1.00x"},
+			{fmt.Sprintf("pipelined (batch %d)", batch), fmt.Sprint(nPages),
 				pipelined.Round(time.Millisecond).String(),
 				fmt.Sprintf("%.0f", stats.PipelinePagesPS), mbps(stats.PipelinePagesPS),
 				fmt.Sprintf("%.2fx", stats.Speedup)},
@@ -130,15 +118,12 @@ func pipelineTo(jsonPath string) (*Table, *PipelineStats, error) {
 	return t, stats, nil
 }
 
-func pipelineSerial(addr string, forceV1 bool, keyBase uint64, n int, data page.Buf) (time.Duration, error) {
-	conn, err := client.DialWithOptions(addr, "pipeline-bench", "", client.DialOptions{ForceV1: forceV1})
+func pipelineSerial(addr string, keyBase uint64, n int, data page.Buf) (time.Duration, error) {
+	conn, err := client.Dial(addr, "pipeline-bench", "")
 	if err != nil {
 		return 0, err
 	}
 	defer conn.Close()
-	if forceV1 == conn.Multiplexed() {
-		return 0, fmt.Errorf("pipeline: negotiated mux=%v with forceV1=%v", conn.Multiplexed(), forceV1)
-	}
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		if err := conn.PageOut(keyBase+uint64(i), data); err != nil {
@@ -149,14 +134,11 @@ func pipelineSerial(addr string, forceV1 bool, keyBase uint64, n int, data page.
 }
 
 func pipelineBatched(addr string, keyBase uint64, n, batch int, data page.Buf) (time.Duration, error) {
-	conn, err := client.DialWithOptions(addr, "pipeline-bench", "", client.DialOptions{})
+	conn, err := client.Dial(addr, "pipeline-bench", "")
 	if err != nil {
 		return 0, err
 	}
 	defer conn.Close()
-	if !conn.Multiplexed() {
-		return 0, fmt.Errorf("pipeline: server did not negotiate v2")
-	}
 	keys := make([]uint64, batch)
 	pages := make([]page.Buf, batch)
 	for i := range pages {

@@ -68,17 +68,7 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 // silent must not wedge the server (other clients keep working).
 func TestServerHalfOpenConnection(t *testing.T) {
 	_, addr := startServer(t, server.Config{})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := wire.Encode(nc, &wire.Msg{Type: wire.THello, Host: "zombie"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.Decode(nc); err != nil {
-		t.Fatal(err)
-	}
+	rawHello(t, addr, "zombie")
 	// Now go silent. Another client must still be served.
 	c := dial(t, addr, "live-client", "")
 	if err := c.PageOut(5, fillPage(5)); err != nil {

@@ -175,6 +175,9 @@ type Server struct {
 type parityConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+	// nextID is the id of the last delta sent; the ack must echo it.
+	// Guarded by mu.
+	nextID uint32
 }
 
 // clientNS is the per-client-name state shared by that client's
@@ -196,7 +199,6 @@ type clientNS struct {
 }
 
 type session struct {
-	conn net.Conn
 	name string
 	ns   *clientNS
 }
@@ -458,9 +460,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// attach binds a connection to the namespace for client name,
+// attach binds a new session to the namespace for client name,
 // creating it on first contact.
-func (s *Server) attach(conn net.Conn, name string) *session {
+func (s *Server) attach(name string) *session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ns, ok := s.clients[name]
@@ -471,7 +473,7 @@ func (s *Server) attach(conn net.Conn, name string) *session {
 	}
 	ns.refs++
 	ns.saidBye = false
-	return &session{conn: conn, name: name, ns: ns}
+	return &session{name: name, ns: ns}
 }
 
 // detach drops a session; the namespace is purged when the last
@@ -489,6 +491,23 @@ func (s *Server) detach(sess *session) {
 	}
 }
 
+// maxSessionInflight bounds how many requests one session services
+// concurrently. It backpressures a runaway pipeline without stalling
+// the read loop in the common case, and caps the reply queue so a
+// slow consumer bounds its own memory.
+const maxSessionInflight = 64
+
+// serveConn runs one session. The handshake is two untagged frames:
+// the first frame must be a HELLO with a valid token and FlagV2, and
+// the HELLO_ACK echoes the flag. From then on every frame is tagged:
+// the read loop decodes requests and dispatches them to a bounded pool
+// of handler goroutines, replies funnel through a writer goroutine
+// that batches them onto the wire, and XORWRITE/XORDELTA are routed to
+// a dedicated FIFO worker so their read-modify-write cycles on this
+// client's namespace apply in arrival order (the pager pipelines
+// parity traffic for distinct pages, but deltas for the same parity
+// page must not race each other out of order — see PROTOCOL.md).
+// Everything else may reorder freely; the client matches acks by id.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -497,83 +516,40 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	// First frame must be HELLO with a valid token.
-	m, err := wire.Decode(conn)
+	m, err := wire.DecodePooled(conn)
 	if err != nil {
 		return
 	}
-	if m.Type != wire.THello {
-		wire.Encode(conn, &wire.Msg{Type: m.Type.Ack(), Status: wire.StatusDenied})
+	typ, tagged, name, token := m.Type, m.Flags&wire.FlagV2 != 0, m.Host, string(m.Data)
+	wire.Recycle(m)
+	if typ != wire.THello {
+		wire.Encode(conn, &wire.Msg{Type: typ.Ack(), Status: wire.StatusDenied})
 		return
 	}
-	if s.cfg.AuthToken != "" && string(m.Data) != s.cfg.AuthToken {
+	if s.cfg.AuthToken != "" && token != s.cfg.AuthToken {
 		wire.Encode(conn, &wire.Msg{Type: wire.THelloAck, Status: wire.StatusDenied})
-		s.logf("%s: rejected client %q: bad token", s.cfg.Name, m.Host)
+		s.logf("%s: rejected client %q: bad token", s.cfg.Name, name)
 		return
 	}
-	name := m.Host
+	if !tagged {
+		// A peer from before tagged framing: refuse it before it gets a
+		// namespace, rather than misparse everything it sends next.
+		wire.Encode(conn, &wire.Msg{Type: wire.THelloAck, Status: wire.StatusDenied})
+		s.logf("%s: rejected client %q: HELLO without the V2 flag", s.cfg.Name, name)
+		return
+	}
 	if name == "" {
 		name = conn.RemoteAddr().String()
 	}
-	sess := s.attach(conn, name)
+	sess := s.attach(name)
 	defer s.detach(sess)
-	// Protocol negotiation: a client advertising v2 on its HELLO gets
-	// the flag echoed and every subsequent frame tagged; a v1 client
-	// gets the strict serial session it always had. The HELLO_ACK
-	// itself is always v1-framed — it is the switchover point.
-	v2 := m.Flags&wire.FlagV2 != 0
-	wire.Recycle(m)
-	helloAck := &wire.Msg{Type: wire.THelloAck, N: uint32(s.store.Free())}
-	if v2 {
-		helloAck.Flags |= wire.FlagV2
-	}
-	if err := s.reply(sess, helloAck); err != nil {
+	helloAck := &wire.Msg{Type: wire.THelloAck, Flags: wire.FlagV2, N: uint32(s.store.Free())}
+	s.stampFlags(helloAck)
+	if err := wire.Encode(conn, helloAck); err != nil {
 		return
 	}
-	s.logf("%s: client %q connected (ns %d, proto v%d)", s.cfg.Name, sess.name, sess.ns.tag, map[bool]int{false: 1, true: 2}[v2])
-	if v2 {
-		s.serveConnV2(conn, sess)
-		return
-	}
+	s.logf("%s: client %q connected (ns %d)", s.cfg.Name, sess.name, sess.ns.tag)
 
-	for {
-		m, err := wire.DecodePooled(conn)
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.logf("%s: client %q read: %v", s.cfg.Name, sess.name, err)
-			}
-			return
-		}
-		resp := s.handle(sess, m)
-		bye := m.Type == wire.TBye
-		wire.Recycle(m)
-		err = s.reply(sess, resp)
-		// Every ack's Data is server-owned (a store copy or fresh JSON)
-		// and fully on the wire after reply, so it recycles here.
-		page.Put(resp.Data)
-		wire.Recycle(resp)
-		if err != nil || bye {
-			return
-		}
-	}
-}
-
-// maxSessionInflight bounds how many requests one v2 session services
-// concurrently. It backpressures a runaway pipeline without stalling
-// the read loop in the common case, and caps the reply queue so a
-// slow consumer bounds its own memory.
-const maxSessionInflight = 64
-
-// serveConnV2 runs one multiplexed session: the read loop decodes
-// tagged requests and dispatches them to a bounded pool of handler
-// goroutines, replies funnel through a writer goroutine that batches
-// them onto the wire, and XORWRITE/XORDELTA are routed to a dedicated
-// FIFO worker so their read-modify-write cycles on this client's
-// namespace apply in arrival order (the pager pipelines parity
-// traffic for distinct pages, but deltas for the same parity page
-// must not race each other out of order — see PROTOCOL.md).
-// Everything else may reorder freely; the client matches acks by id.
-func (s *Server) serveConnV2(conn net.Conn, sess *session) {
 	out := make(chan *wire.Msg, maxSessionInflight)
 	writerDone := make(chan struct{})
 	go func() {
@@ -587,7 +563,7 @@ func (s *Server) serveConnV2(conn net.Conn, sess *session) {
 		defer wg.Done()
 		// FIFO ordering domain: one worker, channel arrival order.
 		for m := range xorCh {
-			out <- s.respondV2(sess, m)
+			out <- s.respond(sess, m)
 			wire.Recycle(m)
 		}
 	}()
@@ -614,7 +590,7 @@ func (s *Server) serveConnV2(conn net.Conn, sess *session) {
 			wg.Add(1)
 			go func(m *wire.Msg) {
 				defer func() { <-sem; wg.Done() }()
-				out <- s.respondV2(sess, m)
+				out <- s.respond(sess, m)
 				wire.Recycle(m)
 			}(m)
 		}
@@ -622,18 +598,18 @@ func (s *Server) serveConnV2(conn net.Conn, sess *session) {
 	close(xorCh)
 	wg.Wait()
 	if sawBye {
-		out <- s.respondV2(sess, bye)
+		out <- s.respond(sess, bye)
 		wire.Recycle(bye)
 	}
 	close(out)
 	<-writerDone
 }
 
-// respondV2 services one request and tags the ack with the request's
+// respond services one request and tags the ack with the request's
 // id and advisory flags. When it returns, nothing retains the request
 // or its payload (handlers copy what they store), so callers recycle
 // m afterwards.
-func (s *Server) respondV2(sess *session, m *wire.Msg) *wire.Msg {
+func (s *Server) respond(sess *session, m *wire.Msg) *wire.Msg {
 	resp := s.handle(sess, m)
 	resp.Version = wire.Version2
 	resp.ID = m.ID
@@ -703,12 +679,6 @@ func (s *Server) stampFlags(resp *wire.Msg) {
 	if s.draining.Load() {
 		resp.Flags |= wire.FlagDrain
 	}
-}
-
-// reply sends resp, stamping the pressure and drain advisory flags.
-func (s *Server) reply(sess *session, resp *wire.Msg) error {
-	s.stampFlags(resp)
-	return wire.Encode(sess.conn, resp)
 }
 
 // nsKey namespaces a client key with the client tag.
@@ -939,13 +909,21 @@ func (s *Server) forwardDelta(addr, clientName string, parityKey uint64, delta p
 	// inside the critical section.
 	pc.conn.SetDeadline(time.Now().Add(parityIOTimeout))
 	defer pc.conn.SetDeadline(time.Time{})
-	req := (&wire.Msg{Type: wire.TXorDelta, Key: parityKey, Data: delta}).WithChecksum()
-	if err := wire.Encode(pc.conn, req); err != nil {
-		s.invalidateParityConn(cacheKey, pc)
-		return err
+	pc.nextID++
+	req := (&wire.Msg{Type: wire.TXorDelta, Version: wire.Version2, ID: pc.nextID, Key: parityKey, Data: delta}).WithChecksum()
+	err = wire.Encode(pc.conn, req)
+	var ack *wire.Msg
+	if err == nil {
+		ack, err = wire.DecodePooled(pc.conn)
 	}
-	ack, err := wire.Decode(pc.conn)
+	if err == nil && (ack.Type != wire.TXorDeltaAck || ack.ID != req.ID) {
+		err = fmt.Errorf("server: parity peer %s sent %v id %d in reply to XORDELTA id %d", addr, ack.Type, ack.ID, req.ID)
+	}
 	if err != nil {
+		// An I/O failure, a timeout, or an ack that is not the answer
+		// to this delta: the link can no longer be trusted to pair
+		// acks with deltas.
+		wire.Recycle(ack)
 		s.invalidateParityConn(cacheKey, pc)
 		return err
 	}
@@ -971,22 +949,18 @@ func (s *Server) parityConnFor(cacheKey, addr, clientName string) (*parityConn, 
 	if err != nil {
 		return nil, err
 	}
-	// The forwarding link stays on v1 framing on purpose: it carries
-	// one delta at a time under pc.mu, so tagging buys nothing.
-	hello := &wire.Msg{Type: wire.THello, Host: clientName, Data: []byte(s.cfg.AuthToken)}
-	if err := wire.Encode(conn, hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	ack, err := wire.Decode(conn)
+	// The handshake a pager performs, bounded like every later
+	// exchange on the link (forwardDelta re-arms the deadline per
+	// delta). The link then carries one tagged delta at a time under
+	// pc.mu — no mux, but every ack is checked against the id of the
+	// delta it must answer.
+	conn.SetDeadline(time.Now().Add(parityIOTimeout))
+	ack, err := wire.Hello(conn, clientName, s.cfg.AuthToken)
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("server: parity peer %s: %w", addr, err)
 	}
-	if err := ack.Status.Err(); err != nil {
-		conn.Close()
-		return nil, err
-	}
+	wire.Recycle(ack)
 	pc = &parityConn{conn: conn}
 	s.parityMu.Lock()
 	if existing, ok := s.parityConns[cacheKey]; ok {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,6 +36,26 @@ func dial(t *testing.T, addr, name, token string) *client.Conn {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// rawHello opens a raw socket to addr and performs the handshake as
+// name, for tests that speak frames by hand. Every later frame on the
+// returned conn must be tagged.
+func rawHello(t *testing.T, addr, name string) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	ack, err := wire.Hello(nc, name, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Version != wire.Version {
+		t.Fatalf("handshake answered %+v, want an untagged HELLO_ACK", ack)
+	}
+	return nc
 }
 
 func fillPage(seed uint64) page.Buf {
@@ -303,29 +324,21 @@ func TestXorWriteWithoutParityHostFails(t *testing.T) {
 
 func TestCorruptFrameRejected(t *testing.T) {
 	_, addr := startServer(t, server.Config{})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	// Valid HELLO first.
-	if err := wire.Encode(nc, &wire.Msg{Type: wire.THello, Host: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.Decode(nc); err != nil {
-		t.Fatal(err)
-	}
+	nc := rawHello(t, addr, "x")
 	// PAGEOUT with a bad checksum must be refused, not stored.
-	m := &wire.Msg{Type: wire.TPageOut, Key: 1, Data: fillPage(1), Checksum: 0xBAD}
+	m := &wire.Msg{Version: wire.Version2, ID: 41, Type: wire.TPageOut, Key: 1, Data: fillPage(1), Checksum: 0xBAD}
 	if err := wire.Encode(nc, m); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := wire.Decode(nc)
+	ack, err := wire.DecodePooled(nc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ack.Status != wire.StatusBadChecksum {
 		t.Fatalf("status = %v, want BAD_CHECKSUM", ack.Status)
+	}
+	if ack.Version != wire.Version2 || ack.ID != 41 {
+		t.Fatalf("ack framed v%d id %d, want a tagged ack echoing id 41", ack.Version, ack.ID)
 	}
 }
 
@@ -339,12 +352,133 @@ func TestFirstFrameMustBeHello(t *testing.T) {
 	if err := wire.Encode(nc, &wire.Msg{Type: wire.TPageIn, Key: 1}); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := wire.Decode(nc)
+	ack, err := wire.DecodePooled(nc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ack.Status != wire.StatusDenied {
 		t.Fatalf("status = %v, want DENIED", ack.Status)
+	}
+}
+
+// TestHelloWithoutV2Denied: a peer that does not announce tagged
+// framing gets an untagged HELLO_ACK{DENIED} and a closed connection,
+// never a namespace — and the next well-formed client is served.
+func TestHelloWithoutV2Denied(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	probe := dial(t, addr, "probe", "")
+	before, err := probe.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.Encode(nc, &wire.Msg{Type: wire.THello, Host: "legacy"}); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := wire.DecodePooled(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Type != wire.THelloAck || ack.Status != wire.StatusDenied || ack.Version != wire.Version {
+		t.Fatalf("legacy HELLO answered %+v, want an untagged HELLO_ACK{DENIED}", ack)
+	}
+	if _, err := wire.DecodePooled(nc); err == nil {
+		t.Fatal("server kept the connection open after denying the HELLO")
+	}
+
+	after, err := probe.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Clients != before.Clients {
+		t.Fatalf("denied HELLO changed Clients from %d to %d", before.Clients, after.Clients)
+	}
+	c := dial(t, addr, "modern", "")
+	if err := c.PageOut(1, fillPage(1)); err != nil {
+		t.Fatalf("client after a denied HELLO: %v", err)
+	}
+}
+
+// fakeParityPeer accepts forwarding links, completes the handshake,
+// and answers every XORDELTA with whatever answer builds from it.
+func fakeParityPeer(t *testing.T, answer func(req *wire.Msg) *wire.Msg) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			func() {
+				defer nc.Close()
+				hello, err := wire.DecodePooled(nc)
+				if err != nil {
+					return
+				}
+				wire.Encode(nc, &wire.Msg{Type: wire.THelloAck, Flags: hello.Flags & wire.FlagV2})
+				for {
+					req, err := wire.DecodePooled(nc)
+					if err != nil {
+						return
+					}
+					wire.Encode(nc, answer(req))
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() { ln.Close(); <-done })
+	return ln.Addr().String()
+}
+
+// TestForwardingLinkRejectsMismatchedAck: the server→server link pairs
+// every XORDELTA with the ack that echoes its id. A peer that answers
+// with another id, or with something that is not an XORDELTA_ACK,
+// fails the XORWRITE and costs the cached link — the next XORWRITE
+// dials afresh.
+func TestForwardingLinkRejectsMismatchedAck(t *testing.T) {
+	for name, answer := range map[string]func(*wire.Msg) *wire.Msg{
+		"wrong id": func(req *wire.Msg) *wire.Msg {
+			return &wire.Msg{Version: wire.Version2, ID: req.ID + 1, Type: wire.TXorDeltaAck}
+		},
+		"wrong type": func(req *wire.Msg) *wire.Msg {
+			return &wire.Msg{Version: wire.Version2, ID: req.ID, Type: wire.TPageOutAck}
+		},
+		"untagged": func(req *wire.Msg) *wire.Msg {
+			return &wire.Msg{Type: wire.TXorDeltaAck}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var links atomic.Int32
+			paddr := fakeParityPeer(t, func(req *wire.Msg) *wire.Msg {
+				if req.ID == 1 {
+					links.Add(1) // ids restart at 1 on every new link
+				}
+				return answer(req)
+			})
+			_, addr := startServer(t, server.Config{})
+			c := dial(t, addr, "client-a", "")
+			for i := 1; i <= 2; i++ {
+				err := c.XorWrite(7, fillPage(uint64(i)), paddr, 100)
+				if err == nil {
+					t.Fatalf("XORWRITE %d succeeded over a link whose ack did not match", i)
+				}
+				if got := int(links.Load()); got != i {
+					t.Fatalf("after XORWRITE %d the peer has seen %d links, want %d (link not invalidated)", i, got, i)
+				}
+			}
+		})
 	}
 }
 

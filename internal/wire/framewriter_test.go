@@ -59,7 +59,7 @@ func TestFrameWriterMatchesAppendFrame(t *testing.T) {
 	// The flushed stream decodes back to the queued messages.
 	r := bytes.NewReader(got.Bytes())
 	for i, m := range msgs {
-		d, err := Decode(r)
+		d, err := DecodePooled(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -125,7 +125,7 @@ func TestFrameWriterZeroCopy(t *testing.T) {
 	if err := fw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	d, err := Decode(bytes.NewReader(out.Bytes()))
+	d, err := DecodePooled(bytes.NewReader(out.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,57 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 
 	"rmp/internal/page"
 )
+
+// decodeRef is the reference decoder the fuzz targets hold
+// DecodePooled to: one frame from r, untagged or tagged, into a fresh
+// payload buffer and a fresh Msg — ordinary garbage-collected memory,
+// nothing pooled. It was the package's original decoder (wire.Decode);
+// no production code needs it any more.
+func decodeRef(r io.Reader) (*Msg, error) {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	if binary.BigEndian.Uint16(hdr[0:]) != Magic {
+		return nil, ErrBadMagic
+	}
+	if hdr[2] != Version && hdr[2] != Version2 {
+		return nil, ErrBadVersion
+	}
+	plen := binary.BigEndian.Uint32(hdr[8:])
+	if plen > MaxPayload {
+		return nil, ErrTooLarge
+	}
+	var id uint32
+	if hdr[2] == Version2 {
+		var idb [idLen]byte
+		if _, err := io.ReadFull(r, idb[:]); err != nil {
+			return nil, err
+		}
+		id = binary.BigEndian.Uint32(idb[:])
+	}
+	p := make([]byte, plen)
+	if _, err := io.ReadFull(r, p); err != nil {
+		return nil, err
+	}
+
+	m := &Msg{
+		Type:    Type(hdr[3]),
+		Flags:   hdr[4],
+		Status:  Status(hdr[5]),
+		Version: hdr[2],
+		ID:      id,
+	}
+	if err := m.parsePayload(p); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
 // FuzzDecode hammers the frame decoder with arbitrary bytes: it must
 // never panic or over-allocate, only return errors.
@@ -82,12 +129,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(bv)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, err := Decode(bytes.NewReader(raw))
+		m, err := decodeRef(bytes.NewReader(raw))
 		pm, perr := DecodePooled(bytes.NewReader(raw))
 		// The pooled decoder must agree with the plain one bit for bit:
 		// same error verdict, same message.
 		if (err == nil) != (perr == nil) {
-			t.Fatalf("Decode err=%v but DecodePooled err=%v", err, perr)
+			t.Fatalf("reference err=%v but DecodePooled err=%v", err, perr)
 		}
 		if err != nil {
 			return
@@ -152,7 +199,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err := Encode(&buf, m); err != nil {
 			return
 		}
-		got, err := Decode(&buf)
+		got, err := DecodePooled(&buf)
 		if err != nil {
 			t.Fatalf("decode of encoded frame: %v", err)
 		}
@@ -214,7 +261,7 @@ func FuzzStreamDemux(f *testing.F) {
 		for i := 0; i < 1024; i++ {
 			before := r.Len()
 			m, err := DecodePooled(r)
-			sm, serr := Decode(shadow)
+			sm, serr := decodeRef(shadow)
 			if (err == nil) != (serr == nil) {
 				t.Fatalf("frame %d: pooled err=%v plain err=%v", i, err, serr)
 			}

@@ -1,19 +1,24 @@
 // Package wire implements the binary protocol spoken between the RMP
 // client (the pager) and the remote memory servers.
 //
-// The protocol is a strict request/response protocol over a byte
-// stream (TCP in production, net.Pipe in tests). Every message is one
+// The protocol is request/response over a byte stream (TCP in
+// production, an in-memory transport in tests), with many requests in
+// flight per connection: every session frame carries a request id and
+// an ack echoes the id of the request it answers. Every message is one
 // frame:
 //
 //	offset  size  field
 //	0       2     magic 0x524D ("RM")
-//	2       1     protocol version (1)
+//	2       1     framing: 2 = tagged, 1 = untagged (handshake only)
 //	3       1     message type
 //	4       1     flags
 //	5       1     status
 //	6       2     reserved (zero)
-//	8       4     payload length (bytes following the header)
+//	8       4     payload length (bytes following header and id)
+//	12      4     request id (tagged frames only)
 //
+// A session opens with two untagged frames — a HELLO carrying FlagV2
+// and the HELLO_ACK echoing it — and every frame after them is tagged.
 // The payload is a fixed field block followed by variable sections:
 //
 //	Key(8) N(4) Checksum(4) ParityKey(8)
@@ -42,21 +47,20 @@ import (
 
 // Protocol constants.
 const (
-	Magic   = 0x524D // "RM"
+	Magic = 0x524D // "RM"
+	// Version marks an untagged frame: the framing of the two
+	// handshake frames, HELLO and HELLO_ACK.
 	Version = 1
-	// Version2 adds a 4-byte request id after the fixed header so many
-	// requests can be in flight on one connection and a late ack is
-	// matched (or discarded) by id instead of by arrival order. The
-	// payload encoding is unchanged. v2 is negotiated at HELLO: the
-	// client sets FlagV2 on a v1-framed HELLO, a v2-capable server
-	// echoes it on the HELLO_ACK, and both sides switch to v2 framing
-	// for every subsequent frame. Either side omitting the flag keeps
-	// the session on v1.
+	// Version2 marks a tagged frame: a 4-byte request id follows the
+	// fixed header, so many requests can be in flight on one
+	// connection and a late ack is matched (or discarded) by id
+	// instead of by arrival order. The payload encoding is the same.
+	// Every frame of a session after the handshake is tagged.
 	Version2 = 2
 
 	headerLen = 12
-	// idLen is the extra request-id field a v2 frame carries between
-	// the header and the payload.
+	// idLen is the extra request-id field a tagged frame carries
+	// between the header and the payload.
 	idLen = 4
 
 	// MaxPayload bounds a frame so a corrupt or hostile peer cannot
@@ -65,7 +69,7 @@ const (
 	MaxPayload = page.Size + 4096
 )
 
-// A whole frame — header, v2 request id, maximum payload — must fit in
+// A whole frame — header, request id, maximum payload — must fit in
 // one frame-class pool buffer, so DecodePooled can read an entire
 // frame into pooled memory. Compile-time assertion: the array length
 // below is negative (a compile error) if the invariant breaks.
@@ -204,10 +208,10 @@ const (
 	// (graceful leave): clients must migrate all pages off it, stop
 	// new placements, and say BYE; the daemon exits once empty.
 	FlagDrain = 1 << 1
-	// FlagV2 on a HELLO advertises that the sender speaks protocol
-	// version 2 (tagged frames); on a HELLO_ACK it confirms the switch.
-	// A v1 peer never sets it and ignores unknown flag bits, so
-	// negotiation degrades to v1 transparently.
+	// FlagV2 on a HELLO states that the sender speaks tagged frames;
+	// on a HELLO_ACK it confirms that the receiver does. It is
+	// mandatory on both: a server answers a HELLO without it DENIED,
+	// and a client treats an ack without it as a failed dial.
 	FlagV2 = 1 << 2
 )
 
@@ -217,12 +221,13 @@ type Msg struct {
 	Flags  uint8
 	Status Status
 
-	// Version selects the frame encoding: 0 or Version encode as a v1
-	// frame, Version2 as a tagged v2 frame. Decode records the version
-	// it actually read, so a decoded frame re-encodes identically.
+	// Version selects the frame encoding: 0 or Version encode an
+	// untagged frame, Version2 a tagged one. DecodePooled records the
+	// version it actually read, so a decoded frame re-encodes
+	// identically.
 	Version uint8
-	// ID tags a v2 frame. Acks echo the request's id; the client demuxes
-	// (or discards late acks) by it. Always zero on v1 frames.
+	// ID tags a frame. Acks echo the request's id; the client demuxes
+	// (or discards late acks) by it. Always zero on untagged frames.
 	ID uint32
 
 	// Key addresses one stored page (PAGEOUT/PAGEIN/XORWRITE/XORDELTA).
@@ -245,7 +250,7 @@ type Msg struct {
 
 	// payload is the pooled frame buffer backing Data when the message
 	// came from DecodePooled; Recycle returns it to the page pool. Nil
-	// for messages built by hand or decoded by Decode.
+	// for messages built by hand.
 	payload []byte
 }
 
@@ -265,11 +270,11 @@ func (m *Msg) payloadSize() int {
 		4 + len(m.Data)
 }
 
-// Encode writes m as one frame to w. The frame version follows
-// m.Version: zero (the zero value) and Version encode v1, Version2
-// encodes the tagged form carrying m.ID. Encode allocates a fresh
-// frame buffer per call; writers on the paging fast path should hold
-// a scratch buffer and use AppendFrame instead.
+// Encode writes m as one frame to w. The framing follows m.Version:
+// zero (the zero value) and Version encode untagged, Version2 encodes
+// the tagged form carrying m.ID. Encode allocates a fresh frame buffer
+// per call — fine for a handshake; writers on the paging fast path
+// hold a scratch buffer and use AppendFrame or a FrameWriter instead.
 func Encode(w io.Writer, m *Msg) error {
 	buf, err := AppendFrame(nil, m)
 	if err != nil {
@@ -277,6 +282,34 @@ func Encode(w io.Writer, m *Msg) error {
 	}
 	_, err = w.Write(buf)
 	return err
+}
+
+// Hello performs the client side of the session handshake on rw: it
+// sends an untagged HELLO as name carrying token and FlagV2, and reads
+// the HELLO_ACK, which must be OK and echo the flag — anything else is
+// an error. The accepted ack is returned for its N and advisory flags;
+// the caller Recycles it. Every later frame on rw must be tagged.
+func Hello(rw io.ReadWriter, name, token string) (*Msg, error) {
+	if err := Encode(rw, &Msg{Type: THello, Flags: FlagV2, Host: name, Data: []byte(token)}); err != nil {
+		return nil, err
+	}
+	ack, err := DecodePooled(rw)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case ack.Type != THelloAck:
+		err = fmt.Errorf("wire: got %v in reply to HELLO", ack.Type)
+	case ack.Status != StatusOK:
+		err = ack.Status.Err()
+	case ack.Flags&FlagV2 == 0:
+		err = errors.New("wire: peer does not speak tagged framing")
+	}
+	if err != nil {
+		Recycle(ack)
+		return nil, err
+	}
+	return ack, nil
 }
 
 // AppendFrame appends m, encoded as one frame, to dst and returns the
@@ -297,7 +330,7 @@ func AppendFrame(dst []byte, m *Msg) ([]byte, error) {
 }
 
 // AppendFrameHead appends everything of m's frame except the final
-// data bytes: header, v2 request id, fixed fields, host, keys, and the
+// data bytes: header, request id, fixed fields, host, keys, and the
 // 4-byte data length. The frame on the wire is AppendFrameHead's bytes
 // immediately followed by m.Data — which is what FrameWriter exploits
 // to ship header and payload through one writev without copying the
@@ -353,61 +386,6 @@ func AppendFrameHead(dst []byte, m *Msg) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode reads one frame from r, accepting both v1 and v2 framing.
-// The returned message records the version it arrived in (and, for
-// v2, its request id), so a decoded frame re-encodes identically.
-//
-// Ownership: Decode allocates a fresh payload buffer and Msg per call
-// and hands both to the caller outright — they are ordinary
-// garbage-collected memory, never pooled, and passing the Msg to
-// Recycle is allowed but recovers nothing. Steady-state readers on
-// the paging fast path use DecodePooled instead, which carries the
-// pooled-ownership contract documented there. The two allocations
-// here are inherent to this API and are the reviewed baseline entries
-// for this function.
-//
-//rmpvet:hotpath
-func Decode(r io.Reader) (*Msg, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if binary.BigEndian.Uint16(hdr[0:]) != Magic {
-		return nil, ErrBadMagic
-	}
-	if hdr[2] != Version && hdr[2] != Version2 {
-		return nil, ErrBadVersion
-	}
-	plen := binary.BigEndian.Uint32(hdr[8:])
-	if plen > MaxPayload {
-		return nil, ErrTooLarge
-	}
-	var id uint32
-	if hdr[2] == Version2 {
-		var idb [idLen]byte
-		if _, err := io.ReadFull(r, idb[:]); err != nil {
-			return nil, err
-		}
-		id = binary.BigEndian.Uint32(idb[:])
-	}
-	p := make([]byte, plen)
-	if _, err := io.ReadFull(r, p); err != nil {
-		return nil, err
-	}
-
-	m := &Msg{
-		Type:    Type(hdr[3]),
-		Flags:   hdr[4],
-		Status:  Status(hdr[5]),
-		Version: hdr[2],
-		ID:      id,
-	}
-	if err := m.parsePayload(p, false); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // msgPool recycles Msg structs through DecodePooled/Recycle. Like the
 // page pools, its New lives at package level so the escapegate
 // attributes the inherent allocation here, not to the hotpath decode.
@@ -415,11 +393,12 @@ var msgPool = sync.Pool{New: newPooledMsg}
 
 func newPooledMsg() any { return new(Msg) }
 
-// DecodePooled reads one frame from r like Decode, but backs the
-// payload with a pooled frame-class buffer and the Msg with a pooled
-// struct, so a steady-state read loop performs zero allocations per
-// frame (control frames carrying Host or Keys still allocate those
-// two fields).
+// DecodePooled reads one frame from r, untagged or tagged, and
+// records which it was (and a tagged frame's request id), so a decoded
+// frame re-encodes identically. The payload is backed by a pooled
+// frame-class buffer and the Msg by a pooled struct, so a steady-state
+// read loop performs zero allocations per frame (control frames
+// carrying Host or Keys still allocate those two fields).
 //
 // Ownership contract: the returned Msg and everything it references —
 // in particular Data, which aliases the pooled buffer — belong to the
@@ -478,7 +457,7 @@ func DecodePooled(r io.Reader) (*Msg, error) {
 	m.Version = hdr[2]
 	m.ID = id
 	m.payload = buf
-	if err := m.parsePayload(p, true); err != nil {
+	if err := m.parsePayload(p); err != nil {
 		Recycle(m)
 		return nil, err
 	}
@@ -488,10 +467,9 @@ func DecodePooled(r io.Reader) (*Msg, error) {
 // Recycle returns a message obtained from DecodePooled (and its
 // pooled payload buffer) to the pools. It must be called exactly once
 // per message, after the caller is completely done with every slice
-// the Msg hands out — Data in particular. Messages built by hand or
-// decoded by Decode may also be Recycled (their struct is pooled, the
-// GC keeps their buffers), which lets shared cleanup paths recycle
-// unconditionally.
+// the Msg hands out — Data in particular. Messages built by hand may
+// also be Recycled (their struct is pooled, the GC keeps their
+// buffers), which lets shared cleanup paths recycle unconditionally.
 //
 //rmpvet:hotpath
 func Recycle(m *Msg) {
@@ -504,14 +482,14 @@ func Recycle(m *Msg) {
 	page.Put(buf)
 }
 
-// parsePayload decodes the payload section p into m. When pooled, the
-// Data slice is left uncapped (its capacity runs to the end of the
-// pooled buffer rather than exactly len) so an erroneous page.Put of
-// a received Data slice routes to the discard counter instead of
-// poisoning the page pool with interior memory.
+// parsePayload decodes the payload section p into m. The Data slice
+// is left uncapped (its capacity runs to the end of the pooled buffer
+// rather than exactly len) so an erroneous page.Put of a received Data
+// slice routes to the discard counter instead of poisoning the page
+// pool with interior memory.
 //
 //rmpvet:hotpath
-func (m *Msg) parsePayload(p []byte, pooled bool) error {
+func (m *Msg) parsePayload(p []byte) error {
 	if len(p) < 24+2 {
 		return ErrTruncated
 	}
@@ -554,11 +532,7 @@ func (m *Msg) parsePayload(p []byte, pooled bool) error {
 	}
 	m.Data = nil
 	if dlen > 0 {
-		if pooled {
-			m.Data = p[off : off+dlen]
-		} else {
-			m.Data = p[off : off+dlen : off+dlen]
-		}
+		m.Data = p[off : off+dlen]
 	}
 	return nil
 }

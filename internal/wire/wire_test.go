@@ -18,7 +18,7 @@ func roundTrip(t *testing.T, m *Msg) *Msg {
 	if err := Encode(&buf, m); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	got, err := Decode(&buf)
+	got, err := DecodePooled(&buf)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestVerifyDataDetectsCorruption(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0xFF // flip a data byte
-	got, err := Decode(bytes.NewReader(raw))
+	got, err := DecodePooled(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestVerifyDataDetectsCorruption(t *testing.T) {
 
 func TestDecodeBadMagic(t *testing.T) {
 	raw := make([]byte, 12)
-	if _, err := Decode(bytes.NewReader(raw)); err != ErrBadMagic {
+	if _, err := DecodePooled(bytes.NewReader(raw)); err != ErrBadMagic {
 		t.Fatalf("got %v, want ErrBadMagic", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestDecodeBadVersion(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[2] = 99
-	if _, err := Decode(bytes.NewReader(raw)); err != ErrBadVersion {
+	if _, err := DecodePooled(bytes.NewReader(raw)); err != ErrBadVersion {
 		t.Fatalf("got %v, want ErrBadVersion", err)
 	}
 }
@@ -112,7 +112,7 @@ func TestDecodeOversizedFrame(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	binary.BigEndian.PutUint32(raw[8:], MaxPayload+1)
-	if _, err := Decode(bytes.NewReader(raw)); err != ErrTooLarge {
+	if _, err := DecodePooled(bytes.NewReader(raw)); err != ErrTooLarge {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestDecodeTruncatedPayload(t *testing.T) {
 	// Claim more keys than the payload holds.
 	// keys count sits after fixed 24 bytes + 2-byte host len (host empty).
 	binary.BigEndian.PutUint32(raw[12+26:], 1000)
-	if _, err := Decode(bytes.NewReader(raw)); err != ErrTruncated {
+	if _, err := DecodePooled(bytes.NewReader(raw)); err != ErrTruncated {
 		t.Fatalf("got %v, want ErrTruncated", err)
 	}
 }
@@ -146,7 +146,7 @@ func TestDecodeShortRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()[:8] // cut mid-header
-	if _, err := Decode(bytes.NewReader(raw)); err == nil {
+	if _, err := DecodePooled(bytes.NewReader(raw)); err == nil {
 		t.Fatal("Decode accepted short frame")
 	}
 }
@@ -199,7 +199,7 @@ func TestRoundTripQuick(t *testing.T) {
 		if err := Encode(&buf, m); err != nil {
 			return false
 		}
-		got, err := Decode(&buf)
+		got, err := DecodePooled(&buf)
 		if err != nil {
 			return false
 		}
@@ -227,7 +227,7 @@ func TestBackToBackFrames(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		m, err := Decode(&buf)
+		m, err := DecodePooled(&buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -262,7 +262,7 @@ func BenchmarkDecodePageOut(b *testing.B) {
 	b.SetBytes(page.Size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(bytes.NewReader(raw)); err != nil {
+		if _, err := DecodePooled(bytes.NewReader(raw)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -330,7 +330,7 @@ func TestV1FramesCarryNoID(t *testing.T) {
 	if !bytes.Equal(v0.Bytes(), v1.Bytes()) {
 		t.Fatal("v1 encoding depends on ID or explicit Version")
 	}
-	got, err := Decode(bytes.NewReader(v0.Bytes()))
+	got, err := DecodePooled(bytes.NewReader(v0.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestMixedVersionStream(t *testing.T) {
 		}
 	}
 	for i, want := range frames {
-		got, err := Decode(&buf)
+		got, err := DecodePooled(&buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -381,7 +381,7 @@ func TestV2TruncatedID(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for cut := headerLen; cut < headerLen+idLen; cut++ {
-		if _, err := Decode(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := DecodePooled(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("decode of frame cut at %d bytes succeeded", cut)
 		}
 	}
