@@ -3,6 +3,7 @@ package client_test
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"rmp/internal/client"
 	"rmp/internal/page"
@@ -286,5 +287,211 @@ func TestPageLostErrorIdentity(t *testing.T) {
 		if _, err2 := p.PageIn(1); err2 != nil && !errors.Is(err2, client.ErrPageLost) {
 			t.Fatalf("loss not reported as ErrPageLost: %v / %v", err, err2)
 		}
+	}
+}
+
+// refusingServer adds a stub to the cluster's network that grants every
+// ALLOC and answers every PAGEOUT with NO_SPACE — a status, so it is
+// never marked dead, keeps its headroom and stays the most promising
+// server — and returns its address.
+func (c *cluster) refusingServer(name string) string {
+	c.t.Helper()
+	addr := name + ":7077"
+	newStallServer(c.t, c.net.MustListen(addr)).refuseOut = true
+	return addr
+}
+
+// within fails the test unless f returns within d: a policy loop that
+// spins under the pager's lock must fail, not hang the suite.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); f() }()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not finish within %v", what, d)
+	}
+}
+
+// TestCopyTopUpPastRefusingServer: a server that grants space and then
+// refuses the page must cost a mirrored pageout one attempt, not spin
+// the top-up loop for ever. Beside one healthy server the pageout
+// returns with one replica plus the disk shadow; and when a crash takes
+// one of two healthy servers, restoring the copy count ends the same
+// way.
+func TestCopyTopUpPastRefusingServer(t *testing.T) {
+	const n = 12
+	c := newCluster(t, 2, 512)
+	cfg := c.config(client.PolicyMirroring)
+	cfg.Servers = []string{c.addrs[0], c.refusingServer("refuser")}
+	p, err := client.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	within(t, 20*time.Second, "mirrored pageouts beside a refusing server", func() {
+		for i := uint64(0); i < n; i++ {
+			if err := p.PageOut(page.ID(i), mkPage(i)); err != nil {
+				t.Errorf("pageout %d: %v", i, err)
+			}
+		}
+	})
+	st := p.Stats()
+	if got := c.servers[0].Store().Len(); got != n || st.DiskWrites != n || st.FallbackPageOuts != n {
+		t.Fatalf("want %d pages as one replica plus the disk shadow: server holds %d, DiskWrites=%d FallbackPageOuts=%d",
+			n, got, st.DiskWrites, st.FallbackPageOuts)
+	}
+	if r := p.Redundancy(); r.Full != n {
+		t.Fatalf("Redundancy = %+v, want Full=%d (the disk shadow)", r, n)
+	}
+	p.Close()
+
+	// Two healthy servers and the refuser; then one of the two dies.
+	cfg.Servers = []string{c.addrs[0], c.addrs[1], cfg.Servers[1]}
+	p, err = client.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := uint64(0); i < n; i++ {
+		if err := p.PageOut(page.ID(i), mkPage(i+100)); err != nil {
+			t.Fatalf("pageout %d: %v", i, err)
+		}
+	}
+	if r := p.Redundancy(); r.Full != n || p.Stats().DiskWrites != 0 {
+		t.Fatalf("two healthy servers: Redundancy = %+v, DiskWrites = %d, want every page mirrored", r, p.Stats().DiskWrites)
+	}
+	c.crash(0) // every page's first replica: the next read of each notices
+	within(t, 20*time.Second, "restoring the copy count beside a refusing server", func() {
+		for i := uint64(0); i < n; i++ {
+			got, err := p.PageIn(page.ID(i))
+			if err != nil || got.Checksum() != mkPage(i+100).Checksum() {
+				t.Errorf("pagein %d after the crash: %v", i, err)
+			}
+		}
+	})
+	if r := p.Redundancy(); r.Full != n || r.Lost != 0 {
+		t.Fatalf("after the crash: Redundancy = %+v, want Full=%d (one replica plus the disk shadow)", r, n)
+	}
+	if st := p.Stats(); st.Recovered != n || st.DiskWrites != n {
+		t.Fatalf("after the crash: Recovered=%d DiskWrites=%d, want %d each", st.Recovered, st.DiskWrites, n)
+	}
+}
+
+// TestLogRefusedShardLeavesNoPhantom: a data shard that a server
+// refuses with a status must not stay in its group as a member nobody
+// stores. With the refuser as column 0 of a (3,1) layout every page
+// reads back, nothing is lost, and — the part a phantom member breaks —
+// every page still decodes after one further server dies. When every
+// server refuses, the page goes to the local disk and is read from
+// there, not looked up in a log slot that was never stored.
+func TestLogRefusedShardLeavesNoPhantom(t *testing.T) {
+	const n = 12
+	t.Run("column0", func(t *testing.T) {
+		c := newCluster(t, 3, 512)
+		cfg := c.config(client.PolicyParityLogging)
+		cfg.Servers = append([]string{c.refusingServer("refuser")}, c.addrs...)
+		p := c.pagerWith(cfg)
+		audit := func(when string) {
+			t.Helper()
+			for i := uint64(0); i < n; i++ {
+				got, err := p.PageIn(page.ID(i))
+				if err != nil || got.Checksum() != mkPage(i).Checksum() {
+					t.Fatalf("pagein %d %s: %v", i, when, err)
+				}
+			}
+			if r := p.Redundancy(); r.Lost != 0 {
+				t.Fatalf("%s: Redundancy = %+v, want nothing lost", when, r)
+			}
+		}
+		for i := uint64(0); i < n; i++ {
+			if err := p.PageOut(page.ID(i), mkPage(i)); err != nil {
+				t.Fatalf("pageout %d: %v", i, err)
+			}
+		}
+		audit("after the refused pageouts")
+		c.crash(1)
+		audit("after one further server died")
+	})
+	t.Run("every-server", func(t *testing.T) {
+		c := newCluster(t, 0, 0)
+		cfg := c.config(client.PolicyParityLogging)
+		cfg.Servers = []string{c.refusingServer("refuser0"), c.refusingServer("refuser1")}
+		p := c.pagerWith(cfg)
+		for i := uint64(0); i < n; i++ {
+			if err := p.PageOut(page.ID(i), mkPage(i)); err != nil {
+				t.Fatalf("pageout %d: %v", i, err)
+			}
+		}
+		for i := uint64(0); i < n; i++ {
+			got, err := p.PageIn(page.ID(i))
+			if err != nil || got.Checksum() != mkPage(i).Checksum() {
+				t.Fatalf("pagein %d of a page only the disk holds: %v", i, err)
+			}
+		}
+		if st := p.Stats(); st.DiskReads != n {
+			t.Fatalf("DiskReads = %d, want %d", st.DiskReads, n)
+		}
+	})
+}
+
+// TestWriteThroughRegainsRemoteCopy: §4.7 serves reads from remote
+// memory. A write-through page whose server died must get its remote
+// copy back once the server restarts — Rebalance promotes it through
+// the policy, whichever Config.Policy led to write-through — and the
+// disk holds every page throughout.
+func TestWriteThroughRegainsRemoteCopy(t *testing.T) {
+	for _, pol := range []client.Policy{client.PolicyWriteThrough, client.PolicyRS /* one server: falls back to write-through */} {
+		t.Run(pol.String(), func(t *testing.T) {
+			const n = 10
+			c := newCluster(t, 1, 256)
+			p := c.pager(pol)
+			onDisk := func(when string) {
+				t.Helper()
+				if r := p.Redundancy(); r.Full != n {
+					t.Fatalf("%s: Redundancy = %+v, want all %d pages on the disk", when, r, n)
+				}
+			}
+			readAll := func(when string) {
+				t.Helper()
+				for i := uint64(0); i < n; i++ {
+					got, err := p.PageIn(page.ID(i))
+					if err != nil || got.Checksum() != mkPage(i).Checksum() {
+						t.Fatalf("pagein %d %s: %v", i, when, err)
+					}
+				}
+			}
+			for i := uint64(0); i < n; i++ {
+				if err := p.PageOut(page.ID(i), mkPage(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			onDisk("after the pageouts")
+			c.crash(0)
+			readAll("with the server dead") // notices the death; served by the disk
+			onDisk("with the server dead")
+
+			ln, err := c.net.Listen(c.addrs[0])
+			if err != nil {
+				t.Fatalf("restart on %s: %v", c.addrs[0], err)
+			}
+			srv2 := server.New(server.Config{CapacityPages: 256, Dial: c.net.DialTimeout})
+			srv2.Serve(ln)
+			t.Cleanup(func() { srv2.Close() })
+			if err := p.Rebalance(); err != nil {
+				t.Fatal(err)
+			}
+			onDisk("after the rebalance")
+			if got := srv2.Store().Len(); got != n {
+				t.Fatalf("restarted server holds %d pages after the rebalance, want %d", got, n)
+			}
+			before := p.Stats().DiskReads
+			readAll("after the rebalance")
+			if after := p.Stats().DiskReads; after != before {
+				t.Fatalf("%d reads went to the disk although every page has a remote copy again", after-before)
+			}
+			srv2.Close()
+			readAll("with the restarted server dead too")
+		})
 	}
 }

@@ -27,8 +27,8 @@ import (
 // is in stallOut) until release is closed. Responses are written from
 // per-request goroutines, so non-stalled requests keep completing —
 // exactly the behaviour a pipelined session must exploit. The
-// misbehaviour knobs (stallOut, mistype, noEcho) are set by the test
-// before it dials.
+// misbehaviour knobs (stallOut, mistype, noEcho, refuseOut) are set by
+// the test before it dials.
 type stallServer struct {
 	ln      net.Listener
 	stall   map[uint64]bool
@@ -41,6 +41,10 @@ type stallServer struct {
 	// noEcho makes the HELLO_ACK omit FlagV2, as a server from before
 	// tagged framing would.
 	noEcho bool
+	// refuseOut answers every PAGEOUT with NO_SPACE although every ALLOC
+	// is granted in full: a server that promises space and then refuses
+	// the page, without ever dropping the connection.
+	refuseOut bool
 
 	mu    sync.Mutex
 	pages map[uint64][]byte // Guarded by mu.
@@ -134,7 +138,12 @@ func (s *stallServer) respond(m *wire.Msg) *wire.Msg {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch m.Type {
+	case wire.TAlloc:
+		return &wire.Msg{Type: wire.TAllocAck, Status: wire.StatusOK, N: m.N}
 	case wire.TPageOut:
+		if s.refuseOut {
+			return &wire.Msg{Type: wire.TPageOutAck, Key: m.Key, Status: wire.StatusNoSpace}
+		}
 		s.pages[m.Key] = append([]byte(nil), m.Data...)
 		if s.mistype[m.Key] {
 			return &wire.Msg{Type: wire.TPageInAck, Key: m.Key, Status: wire.StatusOK}

@@ -19,10 +19,12 @@ type Policy int
 
 const (
 	// PolicyNone stores a single copy on one remote server. Fastest;
-	// a server crash loses pages.
+	// a server crash loses pages. It is the copy engine
+	// (policy_copy.go) at shape (1 copy, disk only when short).
 	PolicyNone Policy = iota
 	// PolicyMirroring stores two copies on two different servers.
-	// 2 transfers per pageout, 2x memory.
+	// 2 transfers per pageout, 2x memory. It is the copy engine at
+	// shape (2 copies, disk only when short).
 	PolicyMirroring
 	// PolicyParity is the basic parity scheme: each page has a fixed
 	// home server and parity group; on pageout the home server XORs
@@ -37,7 +39,8 @@ const (
 	PolicyParityLogging
 	// PolicyWriteThrough stores one remote copy and writes every page
 	// to the local disk in parallel (§4.7), treating remote memory as
-	// a write-through cache of the disk.
+	// a write-through cache of the disk. It is the copy engine at
+	// shape (1 copy, disk always).
 	PolicyWriteThrough
 	// PolicyRS stripes pageouts into Reed-Solomon RS(k,m) groups: k
 	// data shards on k servers plus m parity shards on m more. Any m
@@ -190,8 +193,8 @@ type Stats struct {
 	DiskReads        uint64
 	DiskWrites       uint64
 	Migrated         uint64
-	Recovered        uint64 // pages reconstructed after a crash
-	Rehomed          uint64 // pages moved off damaged/pressured servers
+	Recovered        uint64 // pages reconstructed, or brought back to their copy count, after a crash
+	Rehomed          uint64 // pages rewritten elsewhere by a log rebuild, or over a corrupt copy in place
 	StayedPut        uint64 // evacuations skipped after weighing tiers
 	GCPasses         uint64
 	LostPages        uint64 // unrecoverable (PolicyNone after crash)
@@ -296,15 +299,29 @@ type slotRef struct {
 	key uint64
 }
 
-// location records where a logical page lives. Exactly one of the
-// fields is populated for NONE/PARITY; MIRRORING fills two replicas;
-// WRITE_THROUGH fills one replica and onDisk; a fallback page fills
-// only onDisk. PARITY_LOGGING pages are tracked by the parity log
-// instead unless they fell back to disk.
+// location is a page's record in the pager's table. For the copy
+// engine (policy_copy.go) it is the whole truth: replicas are the
+// page's whole copies, each on a different server, and onDisk says the
+// local swap file holds one too — up to the shape's copy count of
+// replicas, plus the disk copy always (WRITE_THROUGH) or only while the
+// page is short of replicas. The parity and log engines keep the pages
+// they hold in their own structures; the table records only the pages
+// they do not: onDisk for a page that fell back to the local disk, lost
+// for one that is unrecoverable.
 type location struct {
 	replicas []slotRef
 	onDisk   bool
 	lost     bool
+}
+
+// on reports whether one of the page's replicas is on server srv.
+func (loc *location) on(srv int) bool {
+	for _, ref := range loc.replicas {
+		if ref.srv == srv {
+			return true
+		}
+	}
+	return false
 }
 
 // Pager is the Remote Memory Pager: the client that the OS block
@@ -457,12 +474,12 @@ func (p *Pager) newPolicy() (policyImpl, error) {
 	alive := p.aliveServers()
 	switch p.cfg.Policy {
 	case PolicyNone:
-		return &nonePolicy{p: p}, nil
+		return &copyPolicy{p: p, copies: 1}, nil
 	case PolicyMirroring:
 		if len(alive) < 2 {
 			return nil, errors.New("client: mirroring needs >= 2 reachable servers")
 		}
-		return &mirrorPolicy{p: p}, nil
+		return &copyPolicy{p: p, copies: 2}, nil
 	case PolicyParity:
 		if len(alive) < 2 {
 			return nil, errors.New("client: parity needs >= 1 data server + 1 parity server")
@@ -483,7 +500,7 @@ func (p *Pager) newPolicy() (policyImpl, error) {
 		if len(alive) < 1 {
 			return nil, errors.New("client: write-through needs >= 1 reachable server")
 		}
-		return &writeThroughPolicy{p: p}, nil
+		return &copyPolicy{p: p, copies: 1, diskAlways: true}, nil
 	case PolicyRS:
 		if len(alive) < 2 {
 			// The cluster cannot host even a single RS(1,1) group.
@@ -494,7 +511,7 @@ func (p *Pager) newPolicy() (policyImpl, error) {
 			}
 			p.logf("rs: only %d reachable server(s); falling back to %v", len(alive), PolicyWriteThrough)
 			p.stats.PolicyFallbacks++
-			return &writeThroughPolicy{p: p}, nil
+			return &copyPolicy{p: p, copies: 1, diskAlways: true}, nil
 		}
 		k, m := p.cfg.RSDataShards, p.cfg.RSParityShards
 		if k <= 0 {
@@ -1107,6 +1124,30 @@ func (p *Pager) ensureAllRecovered() {
 	}
 }
 
+// entry returns id's record in the pager's table, making one if need
+// be.
+//
+//rmpvet:holds Pager.mu
+func (p *Pager) entry(id page.ID) *location {
+	loc := p.table[id]
+	if loc == nil {
+		loc = &location{}
+		p.table[id] = loc
+	}
+	return loc
+}
+
+// diskFallback records id as living on the local swap device and
+// writes it there — where the parity and log engines put a pageout no
+// server can take.
+//
+//rmpvet:holds Pager.mu
+func (p *Pager) diskFallback(id page.ID, data page.Buf) error {
+	p.stats.FallbackPageOuts++
+	p.entry(id).onDisk = true
+	return p.diskPut(id, data)
+}
+
 // diskPut stores a page in the local swap file under the page id.
 //
 //rmpvet:holds Pager.mu
@@ -1250,15 +1291,14 @@ func (p *Pager) tierTolerable(srv int) bool {
 	return float64(info.DiskPages) < frac*float64(total)
 }
 
-// promoteDiskPages re-pages disk-fallback pages out through the
-// policy now that remote space may exist. (The paper replicates them
-// and prefers the remote copy; we move them, freeing the disk slot.)
+// promoteDiskPages re-pages the pages that live on the local disk alone
+// out through the policy now that remote space may exist. The policy's
+// pageOut takes the page over from its disk copy, and decides by its own
+// rule whether that copy stays (write-through) or goes — the disk holds
+// the page at every instant until then.
 //
 //rmpvet:holds Pager.mu
 func (p *Pager) promoteDiskPages() error {
-	if p.cfg.Policy == PolicyWriteThrough {
-		return nil // every page has a disk copy by design
-	}
 	var promote []page.ID
 	for id, loc := range p.table {
 		if loc.onDisk && len(loc.replicas) == 0 && !loc.lost {
@@ -1273,9 +1313,6 @@ func (p *Pager) promoteDiskPages() error {
 		if err != nil {
 			return err
 		}
-		loc := p.table[id]
-		loc.onDisk = false
-		p.swap.Delete(uint64(id))
 		if err := p.pol.pageOut(id, data); err != nil {
 			return err
 		}

@@ -189,7 +189,7 @@ func (pl *logPolicy) pageOut(id page.ID, data page.Buf) error {
 		p.ensureAllRecovered()
 
 		if !pl.layoutAlive() {
-			return pl.diskFallback(id, data)
+			return p.diskFallback(id, data)
 		}
 		// The log takes the page over from a disk-fallback copy, or from
 		// the record of an earlier loss.
@@ -214,38 +214,20 @@ func (pl *logPolicy) pageOut(id page.ID, data page.Buf) error {
 		}
 	}
 	// Every layout we were handed failed mid-transfer; keep the page
-	// safe on the local disk instead.
-	if err := pl.diskFallback(id, data); err != nil {
+	// safe on the local disk instead — and out of the log, whose slot for
+	// it may never have been stored: the disk copy must win in pageIn.
+	pl.freeReclaims(pl.cols, pl.log.Free(id))
+	if err := p.diskFallback(id, data); err != nil {
 		return lastErr
 	}
 	return nil
 }
 
-// diskFallback records id as living on the local swap device and
-// writes it there.
-func (pl *logPolicy) diskFallback(id page.ID, data page.Buf) error {
-	p := pl.p
-	p.stats.FallbackPageOuts++
-	pl.entry(id).onDisk = true
-	return p.diskPut(id, data)
-}
-
-// entry returns id's record in the pager's table — where the pages the
-// log does not hold (on the local disk, or lost) are kept — making one
-// if need be.
-func (pl *logPolicy) entry(id page.ID) *location {
-	loc := pl.p.table[id]
-	if loc == nil {
-		loc = &location{}
-		pl.p.table[id] = loc
-	}
-	return loc
-}
-
 // appendAndSend runs one pageout through the log: place the data,
 // ship it (and the parity shards, if the group completed), free
 // reclaimed slots. Any transport failure triggers the crash rebuild
-// (via serverDied); the caller re-dispatches afterwards.
+// (via serverDied), and a shard refused with a status the same rebuild
+// from here; the caller re-dispatches afterwards.
 func (pl *logPolicy) appendAndSend(id page.ID, data page.Buf) error {
 	pl.inflight.valid = true
 	pl.inflight.id = id
@@ -262,6 +244,17 @@ func (pl *logPolicy) appendAndSend(id page.ID, data page.Buf) error {
 	cols := pl.cols
 	err = pl.send(cols, place, sealed, data)
 	pl.freeReclaims(cols, recs)
+	if err != nil && !isConnError(err) {
+		// A server answered a shard with a status (out of space, say)
+		// instead of storing it, and the log now names a slot that nobody
+		// holds. Left there it is a phantom member: its group has one
+		// shard of tolerance less than the census believes. Replay into a
+		// fresh log — inflight supplies this page, and writeback plans
+		// around whoever refuses again.
+		if rerr := pl.rebuild(nil); rerr != nil {
+			pl.p.logf("%v: re-plan after a refused shard: %v", pl.p.cfg.Policy, rerr)
+		}
+	}
 	return err
 }
 
@@ -479,10 +472,13 @@ func (pl *logPolicy) evacuate(srv int) error {
 
 // rebuild snapshots every live page and replays it into a fresh log
 // over the alive servers not in exclude. It loops until a full replay
-// completes without another server dying.
+// completes without another server dying or refusing its shards.
 func (pl *logPolicy) rebuild(exclude map[int]bool) error {
 	pl.rebuilding = true
 	defer func() { pl.rebuilding = false }()
+	if exclude == nil {
+		exclude = make(map[int]bool) // writeback adds the servers that refuse their shards
+	}
 
 	for attempt := 0; attempt <= len(pl.p.servers)+1; attempt++ {
 		pl.retry = false
@@ -536,7 +532,7 @@ func (pl *logPolicy) snapshot() (map[page.ID]page.Buf, bool) {
 					return nil, false // a transport failure; re-plan
 				}
 				p.stats.LostPages++
-				pl.entry(id).lost = true
+				p.entry(id).lost = true
 				continue
 			}
 			p.stats.Recovered++
@@ -550,7 +546,8 @@ func (pl *logPolicy) snapshot() (map[page.ID]page.Buf, bool) {
 // planning the whole new layout client-side first and then shipping
 // every server's shards in one pipelined batch — about one round trip
 // per server instead of one per page — then frees every slot of the
-// old layout. Returns false if a server died mid-replay (caller loops).
+// old layout. Returns false if a server died mid-replay or refused its
+// batch — the latter joins exclude — and the caller loops.
 func (pl *logPolicy) writeback(contents map[page.ID]page.Buf, exclude map[int]bool) bool {
 	p := pl.p
 	oldSlots, oldCols := pl.log.AllSlots(), pl.cols
@@ -566,7 +563,7 @@ func (pl *logPolicy) writeback(contents map[page.ID]page.Buf, exclude map[int]bo
 		// Not enough servers for data + parity: everything goes to the
 		// local disk; reliability is preserved by the disk itself.
 		for id, data := range contents {
-			if err := pl.diskFallback(id, data); err != nil {
+			if err := p.diskFallback(id, data); err != nil {
 				p.logf("rebuild: disk fallback for %v: %v", id, err)
 			}
 		}
@@ -613,8 +610,13 @@ func (pl *logPolicy) writeback(contents map[page.ID]page.Buf, exclude map[int]bo
 	for srv, keys := range batchKeys {
 		if err := p.sendPageBatch(srv, keys, batchPages[srv], true); err != nil {
 			// Another server failed under us (serverDied set retry via
-			// the handleCrash guard): free whatever this attempt wrote
-			// before the caller retries with yet another fresh layout.
+			// the handleCrash guard) or answered with a status instead of
+			// storing its shards (the next attempt plans around it): free
+			// whatever this attempt wrote before the caller retries with
+			// yet another fresh layout.
+			if !isConnError(err) {
+				exclude[srv] = true
+			}
 			pl.freeSlots(cols, newLog.AllSlots())
 			return false
 		}

@@ -158,8 +158,7 @@ func (pp *parityPolicy) pageOut(id page.ID, data page.Buf) error {
 	// Disk-fallback page being rewritten?
 	if loc := p.table[id]; loc != nil && loc.onDisk {
 		if pp.pickDataServer() < 0 {
-			p.stats.FallbackPageOuts++
-			return p.diskPut(id, data)
+			return p.diskFallback(id, data)
 		}
 		p.swap.Delete(uint64(id))
 		delete(p.table, id)
@@ -210,22 +209,16 @@ func (pp *parityPolicy) place(id page.ID, data page.Buf) error {
 		return nil
 	}
 	// No data server: local disk fallback.
-	p.stats.FallbackPageOuts++
-	loc := p.table[id]
-	if loc == nil {
-		loc = &location{}
-		p.table[id] = loc
-	}
-	loc.onDisk = true
-	return p.diskPut(id, data)
+	return p.diskFallback(id, data)
 }
 
 func (pp *parityPolicy) pageIn(id page.ID) (page.Buf, error) {
 	p := pp.p
 	p.ensureAllRecovered()
+	err := ErrNotPagedOut
 	if home, ok := pp.homes[id]; ok {
-		data, err := p.fetchPage(home.srv, home.key)
-		if err == nil {
+		var data page.Buf
+		if data, err = p.fetchPage(home.srv, home.key); err == nil {
 			return data, nil
 		}
 		// Persistent checksum failure: the transfer (or the stored
@@ -251,15 +244,6 @@ func (pp *parityPolicy) pageIn(id page.ID) (page.Buf, error) {
 		if home2, ok := pp.homes[id]; ok && home2 != home {
 			return p.fetchPage(home2.srv, home2.key)
 		}
-		if loc := p.table[id]; loc != nil {
-			if loc.onDisk {
-				return p.diskGet(id)
-			}
-			if loc.lost {
-				return nil, fmt.Errorf("%w: %v", ErrPageLost, id)
-			}
-		}
-		return nil, err
 	}
 	if loc := p.table[id]; loc != nil {
 		if loc.onDisk {
@@ -269,7 +253,7 @@ func (pp *parityPolicy) pageIn(id page.ID) (page.Buf, error) {
 			return nil, fmt.Errorf("%w: %v", ErrPageLost, id)
 		}
 	}
-	return nil, ErrNotPagedOut
+	return nil, err
 }
 
 // dropMemberBookkeeping removes id from its group and slot tables
@@ -387,28 +371,17 @@ func (pp *parityPolicy) free(id page.ID) error {
 // joiner simply becomes another data server.
 func (pp *parityPolicy) serverJoined(srv int) {
 	p := pp.p
-	if !p.servers[srv].alive || srv == pp.parityIdx {
-		return
+	if !p.servers[srv].alive || srv == pp.parityIdx || pp.isData(srv) {
+		return // already in the layout (revival after evacuation)
 	}
-	for _, i := range pp.dataIdx {
-		if i == srv {
-			return // already in the layout (revival after evacuation)
-		}
-	}
-	degraded := pp.parityIdx < 0 || !p.servers[pp.parityIdx].alive
-	for _, i := range pp.dataIdx {
-		if i == pp.parityIdx {
-			degraded = true
-		}
-	}
-	if degraded {
+	if pp.parityIdx < 0 || !p.servers[pp.parityIdx].alive || pp.isData(pp.parityIdx) {
 		oldIdx := pp.parityIdx
 		oldKeys := make([]uint64, 0, len(pp.groups))
 		for _, g := range pp.groups {
 			oldKeys = append(oldKeys, g.parityKey)
 		}
 		pp.parityIdx = srv
-		if err := pp.recomputeGroups(); err != nil {
+		if err := pp.recomputeAndShipParity(false); err != nil {
 			p.logf("parity migration to joined server %s: %v", p.servers[srv].addr, err)
 			return
 		}
@@ -424,10 +397,30 @@ func (pp *parityPolicy) serverJoined(srv int) {
 	}
 }
 
-// recomputeGroups writes fresh parity for every group onto the
-// current parity server.
-func (pp *parityPolicy) recomputeGroups() error {
-	return pp.recomputeAndShipParity(false)
+// isData reports whether srv is one of the layout's data servers.
+func (pp *parityPolicy) isData(srv int) bool {
+	for _, i := range pp.dataIdx {
+		if i == srv {
+			return true
+		}
+	}
+	return false
+}
+
+// removeDataServer takes srv out of the layout: the data set, its slot
+// allocator, and every group's membership.
+func (pp *parityPolicy) removeDataServer(srv int) {
+	kept := pp.dataIdx[:0]
+	for _, i := range pp.dataIdx {
+		if i != srv {
+			kept = append(kept, i)
+		}
+	}
+	pp.dataIdx = kept
+	delete(pp.slots, srv)
+	for _, g := range pp.groups {
+		delete(g.members, srv)
+	}
 }
 
 // recomputeAndShipParity recomputes every group's parity page from
@@ -545,15 +538,9 @@ func (pp *parityPolicy) redundancy() Redundancy {
 func (pp *parityPolicy) handleCrash(srv int) error {
 	if srv == pp.parityIdx {
 		pp.dropDataServerLost(srv)
-		return pp.rebuildParity()
+		return pp.rebuildParity(-1, true)
 	}
-	in := false
-	for _, i := range pp.dataIdx {
-		if i == srv {
-			in = true
-		}
-	}
-	if !in {
+	if !pp.isData(srv) {
 		return nil
 	}
 	p := pp.p
@@ -570,16 +557,6 @@ func (pp *parityPolicy) handleCrash(srv int) error {
 			losses = append(losses, lost{id: id, g: pp.groups[home.slot], home: home})
 		}
 	}
-	// Remove the dead server from the data set.
-	kept := pp.dataIdx[:0]
-	for _, i := range pp.dataIdx {
-		if i != srv {
-			kept = append(kept, i)
-		}
-	}
-	pp.dataIdx = kept
-	delete(pp.slots, srv)
-
 	var firstErr error
 	for _, l := range losses {
 		data, err := pp.reconstruct(l.g, srv)
@@ -596,12 +573,7 @@ func (pp *parityPolicy) handleCrash(srv int) error {
 			if len(l.g.members) == 0 {
 				pp.deleteGroup(l.g)
 			}
-			loc := p.table[l.id]
-			if loc == nil {
-				loc = &location{}
-				p.table[l.id] = loc
-			}
-			loc.lost = true
+			p.entry(l.id).lost = true
 			p.stats.LostPages++
 			continue
 		}
@@ -625,11 +597,10 @@ func (pp *parityPolicy) handleCrash(srv int) error {
 		}
 		p.stats.Recovered++
 	}
-	// Groups may still list the dead server from pages we never saw
-	// (shouldn't happen, but keep the invariant tight).
-	for _, g := range pp.groups {
-		delete(g.members, srv)
-	}
+	// The dead server leaves the layout — also from groups that may
+	// still list it for pages we never saw (shouldn't happen, but keep
+	// the invariant tight).
+	pp.removeDataServer(srv)
 	pp.freshenStaleGroups()
 	return firstErr
 }
@@ -652,13 +623,7 @@ func (pp *parityPolicy) freshenStaleGroups() {
 // the same host held the parity).
 func (pp *parityPolicy) dropDataServerLost(srv int) {
 	p := pp.p
-	in := false
-	for _, i := range pp.dataIdx {
-		if i == srv {
-			in = true
-		}
-	}
-	if !in {
+	if !pp.isData(srv) {
 		return
 	}
 	var doomed []page.ID
@@ -669,25 +634,10 @@ func (pp *parityPolicy) dropDataServerLost(srv int) {
 	}
 	for _, id := range doomed {
 		pp.dropMemberBookkeeping(id)
-		loc := p.table[id]
-		if loc == nil {
-			loc = &location{}
-			p.table[id] = loc
-		}
-		loc.lost = true
+		p.entry(id).lost = true
 		p.stats.LostPages++
 	}
-	kept := pp.dataIdx[:0]
-	for _, i := range pp.dataIdx {
-		if i != srv {
-			kept = append(kept, i)
-		}
-	}
-	pp.dataIdx = kept
-	delete(pp.slots, srv)
-	for _, g := range pp.groups {
-		delete(g.members, srv)
-	}
+	pp.removeDataServer(srv)
 }
 
 // reconstruct XORs the group's parity page with its surviving members
@@ -738,40 +688,36 @@ func (pp *parityPolicy) xorOutOfParity(g *parityGroup, data page.Buf) error {
 	return nil
 }
 
-// rebuildParity elects a new parity server and recomputes every
-// group's parity from its members. Data pages are untouched.
-func (pp *parityPolicy) rebuildParity() error {
+// rebuildParity elects a new parity server — never excluded (-1 bars
+// nobody) — and recomputes every group's parity from its members. Data
+// pages are untouched. recovered says the old parity died, so each
+// group counts toward Stats.Recovered.
+func (pp *parityPolicy) rebuildParity(excluded int, recovered bool) error {
 	p := pp.p
 	// Prefer an alive server that holds no data; otherwise double up
-	// on the data server with the most headroom (degraded but live).
+	// on the data server with the most headroom (degraded but live:
+	// groups with a member there lose single-failure tolerance).
 	newIdx := -1
 	for _, i := range p.aliveServers() {
-		isData := false
-		for _, d := range pp.dataIdx {
-			if d == i {
-				isData = true
-			}
-		}
-		if !isData {
+		if i != excluded && !pp.isData(i) {
 			newIdx = i
 			break
 		}
 	}
 	if newIdx < 0 {
-		best, bestRoom := -1, -1
+		bestRoom := -1
 		for _, i := range pp.dataIdx {
-			if rs := p.servers[i]; rs.alive && rs.headroom() > bestRoom {
-				best, bestRoom = i, rs.headroom()
+			if rs := p.servers[i]; i != excluded && rs.alive && rs.headroom() > bestRoom {
+				newIdx, bestRoom = i, rs.headroom()
 			}
 		}
-		if best < 0 {
+		if newIdx < 0 {
 			return fmt.Errorf("client: no server left to host parity")
 		}
-		newIdx = best
-		p.logf("parity server doubling up on data server %s (degraded)", p.servers[best].addr)
+		p.logf("parity server doubling up on data server %s (degraded)", p.servers[newIdx].addr)
 	}
 	pp.parityIdx = newIdx
-	return pp.recomputeAndShipParity(true)
+	return pp.recomputeAndShipParity(recovered)
 }
 
 // evacuate migrates pages (or parity pages) off a pressured or
@@ -789,7 +735,7 @@ func (pp *parityPolicy) evacuate(srv int) error {
 		}
 		oldIdx := pp.parityIdx
 		pp.parityIdx = -1 // not a data server either; rebuild re-elects
-		if err := pp.rebuildParityExcluding(oldIdx); err != nil {
+		if err := pp.rebuildParity(oldIdx, false); err != nil {
 			pp.parityIdx = oldIdx
 			return err
 		}
@@ -823,46 +769,4 @@ func (pp *parityPolicy) evacuate(srv int) error {
 	}
 	p.servers[srv].pressured = false
 	return nil
-}
-
-// rebuildParityExcluding is rebuildParity but never elects excluded.
-// With no spare server it doubles parity up on the data server with
-// the most headroom (degraded: groups with a member there lose
-// single-failure tolerance), exactly like rebuildParity.
-func (pp *parityPolicy) rebuildParityExcluding(excluded int) error {
-	p := pp.p
-	newIdx := -1
-	for _, i := range p.aliveServers() {
-		if i == excluded {
-			continue
-		}
-		isData := false
-		for _, d := range pp.dataIdx {
-			if d == i {
-				isData = true
-			}
-		}
-		if !isData {
-			newIdx = i
-			break
-		}
-	}
-	if newIdx < 0 {
-		best, bestRoom := -1, -1
-		for _, i := range pp.dataIdx {
-			if i == excluded {
-				continue
-			}
-			if rs := p.servers[i]; rs.alive && rs.headroom() > bestRoom {
-				best, bestRoom = i, rs.headroom()
-			}
-		}
-		if best < 0 {
-			return fmt.Errorf("client: no server left for parity migration")
-		}
-		newIdx = best
-		p.logf("parity migrating onto data server %s (degraded)", p.servers[best].addr)
-	}
-	pp.parityIdx = newIdx
-	return pp.recomputeAndShipParity(false)
 }
