@@ -126,8 +126,8 @@ func main() {
 	fmt.Printf("completed in %v (checksum %016x)\n", elapsed.Round(time.Millisecond), sum)
 	fmt.Printf("vm:    %d faults, %d pageins, %d pageouts, %d prefetches (%d hit)\n",
 		st.Faults, st.PageIns, st.PageOuts, st.Prefetch, st.PrefHits)
-	fmt.Printf("pager: %d net transfers, %d disk writes, %d disk reads, %d migrated, %d recovered, %d GC passes\n",
-		ps.NetTransfers, ps.DiskWrites, ps.DiskReads, ps.Migrated, ps.Recovered, ps.GCPasses)
+	fmt.Printf("pager: %d net transfers, %d disk writes, %d disk reads, %d migrated, %d recovered, %d GC passes, %d patches\n",
+		ps.NetTransfers, ps.DiskWrites, ps.DiskReads, ps.Migrated, ps.Recovered, ps.GCPasses, ps.Patches)
 	if ps.Timeouts+ps.Retries+ps.BreakerOpens+ps.DeadlineFallbacks+ps.ChecksumFaults > 0 {
 		fmt.Printf("pager: %d timeouts, %d retries, %d breaker opens, %d budget exhaustions, %d checksum faults\n",
 			ps.Timeouts, ps.Retries, ps.BreakerOpens, ps.DeadlineFallbacks, ps.ChecksumFaults)

@@ -73,6 +73,6 @@ func main() {
 	ps := pager.Stats()
 	fmt.Printf("sorted and verified in %v (checksum %016x)\n", elapsed.Round(time.Millisecond), sum)
 	fmt.Printf("vm: %d faults, %d pageins, %d pageouts\n", st.Faults, st.PageIns, st.PageOuts)
-	fmt.Printf("pager: %d network page transfers for %d pageouts + %d pageins (parity logging: 1+1/4 per out, plus %d overflow-GC passes rewriting fragmented groups)\n",
-		ps.NetTransfers, ps.PageOuts, ps.PageIns, ps.GCPasses)
+	fmt.Printf("pager: %d network page transfers for %d pageouts + %d pageins (parity logging: 1+1/4 per out with overflow to spare; at the budget %d overwrites patched in place at 2, %d GC passes rewrote fragmented groups)\n",
+		ps.NetTransfers, ps.PageOuts, ps.PageIns, ps.Patches, ps.GCPasses)
 }

@@ -197,6 +197,7 @@ type Stats struct {
 	Rehomed          uint64 // pages rewritten elsewhere by a log rebuild, or over a corrupt copy in place
 	StayedPut        uint64 // evacuations skipped after weighing tiers
 	GCPasses         uint64
+	Patches          uint64 // log-engine overwrites patched in place at the overflow budget
 	LostPages        uint64 // unrecoverable (PolicyNone after crash)
 	FallbackPageOuts uint64 // pageouts that went to local disk
 
@@ -855,6 +856,38 @@ func (p *Pager) sendPage(srv int, key uint64, data page.Buf, fresh bool) error {
 	if fresh {
 		rs.used++
 	}
+	if rs.conn.PressureAdvised() {
+		rs.pressured = true
+	}
+	return nil
+}
+
+// sendXor stores data under key on server srv, which forwards old XOR
+// new to the parity shard parityKey on paritySrv before it acks: two
+// page transfers. With replay set the retry layer may re-issue it, and
+// a re-issue of a write that was stored forwards a zero delta — safe
+// only for a caller that recomputes the parity whenever any attempt
+// failed. Without it the write gets one attempt, and a missed deadline
+// alone — the session still framed, the server perhaps only slow — is
+// returned without declaring the server dead: the caller must treat the
+// parity as in doubt either way, and the next request that really finds
+// the server gone says so. Transfers and death are otherwise accounted
+// as in sendPage.
+//
+//rmpvet:holds Pager.mu
+func (p *Pager) sendXor(srv int, key uint64, data page.Buf, paritySrv int, parityKey uint64, replay bool) error {
+	rs := p.servers[srv]
+	parityAddr := p.servers[paritySrv].addr
+	if err := p.withConn(srv, replay, func(c *Conn) error {
+		return c.XorWrite(key, data, parityAddr, parityKey)
+	}); err != nil {
+		lateAck := !replay && errors.Is(err, ErrReqTimeout) && !rs.conn.Broken()
+		if isConnError(err) && !lateAck {
+			p.serverDied(srv, err)
+		}
+		return err
+	}
+	p.stats.NetTransfers += 2
 	if rs.conn.PressureAdvised() {
 		rs.pressured = true
 	}

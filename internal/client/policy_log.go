@@ -18,9 +18,21 @@ import (
 // and memory per pageout, amortized, and any m simultaneous server
 // crashes are survivable — every page decodes from any k of its
 // group's k+m shards. Superseded page versions are only marked
-// inactive, so servers need overflow memory; when the overflow budget
-// is exceeded the policy garbage-collects fragmented groups by
-// rewriting their live pages.
+// inactive, so servers need overflow memory, and the log may hold no
+// more versions than the overflow budget allows.
+//
+// At the budget an overwrite either appends as ever and the cleaner
+// rewrites the live pages of the emptiest groups to win the slot back,
+// or — single-parity layouts only — it patches the page's sealed slot in
+// place: one XORWRITE, the home server forwarding old XOR new to the
+// group's parity shard. A patch costs a constant 2 transfers, stores no
+// new version and strands nothing; cleaning a group with a of its k
+// members live costs a fetch and a re-append for each to win k-a slots.
+// The engine computes which is cheaper from the log's census of sealed
+// groups (patchTarget); nothing is configured. Fresh pages and
+// overwrites with headroom append at (k+m)/k. With m >= 2 a patch would
+// need a GF multiply on the home server and an m-way forward, so those
+// layouts keep cleaning.
 //
 // The two policies are two shapes of it:
 //
@@ -203,7 +215,12 @@ func (pl *logPolicy) pageOut(id page.ID, data page.Buf) error {
 		// On failure a server died mid-transfer and the rebuild already
 		// ran (using the in-memory inflight copy); the next iteration
 		// re-dispatches through the new layout.
-		if lastErr = pl.appendAndSend(id, data); lastErr == nil {
+		if t, ok := pl.patchTarget(id); ok {
+			lastErr = pl.patch(id, data, t)
+		} else {
+			lastErr = pl.appendAndSend(id, data)
+		}
+		if lastErr == nil {
 			if pl.degraded() {
 				// Write accepted at reduced tolerance or width — counted,
 				// never denied; the next join re-plans back to the shape.
@@ -221,6 +238,69 @@ func (pl *logPolicy) pageOut(id page.ID, data page.Buf) error {
 		return lastErr
 	}
 	return nil
+}
+
+// patchTarget decides whether the pageout of id overwrites its live
+// version in place, and where. It does when all of these hold: one more
+// stored version would exceed the overflow budget; the log can patch the
+// page at all (parity.Log.PatchTarget); other members of its group are
+// still active — the append of a group's last active member reclaims
+// the whole group for nothing; and cleaning is not the cheaper way to
+// make room. Cleaning the emptiest victim, a of k members active, moves
+// a·(1 + (k+m)/k) pages to win k-a slots; a patch costs m·(1 - 1/k)
+// transfers more than the append a free slot would have allowed. At the
+// paper's 4+1 that admits only one-survivor victims, which GAUSS's row
+// sweeps leave behind in numbers and uniform overwrites almost never.
+func (pl *logPolicy) patchTarget(id page.ID) (parity.PatchTarget, bool) {
+	if stored, _ := pl.log.VersionsStored(); stored+1 <= pl.budget() {
+		return parity.PatchTarget{}, false
+	}
+	t, ok := pl.log.PatchTarget(id)
+	if !ok || t.Active == 1 {
+		return parity.PatchTarget{}, false
+	}
+	if a, ok := pl.log.EmptiestVictim(); ok {
+		k, m := float64(pl.log.K()), float64(pl.log.M())
+		if float64(a)*(1+(k+m)/k)/(k-float64(a)) <= m*(1-1/k) {
+			return parity.PatchTarget{}, false
+		}
+	}
+	return t, true
+}
+
+// patch overwrites the live version of id in place. The group's parity
+// is in doubt from the moment the XORWRITE leaves until its ack: the
+// home server may have stored the page without the delta reaching the
+// parity shard, or the other way round for all the client can tell, and
+// a replay would forward new XOR new — nothing — so the write gets one
+// attempt. A failure therefore ends in a rebuild that reads this page
+// from inflight and every other member of the group from its own slot,
+// never through the parity: the crash rebuild if the home server died
+// (run here, while inflight is valid, if a membership layer queued it),
+// a re-plan like a refused shard's for a status or an ack that is merely
+// late. The caller re-dispatches afterwards.
+func (pl *logPolicy) patch(id page.ID, data page.Buf, t parity.PatchTarget) error {
+	p := pl.p
+	pl.inflight.valid = true
+	pl.inflight.id = id
+	pl.inflight.data = data
+	defer func() { pl.inflight.valid = false }()
+
+	log := pl.log
+	log.BeginPatch(t)
+	err := p.sendXor(pl.cols[t.Slot.Column], t.Slot.Key, data, pl.cols[t.Parity.Column], t.Parity.Key, false)
+	if err == nil {
+		log.EndPatch(t)
+		p.stats.Patches++
+		return nil
+	}
+	p.ensureAllRecovered()
+	if pl.log == log {
+		if rerr := pl.rebuild(nil); rerr != nil {
+			p.logf("%v: re-plan after a failed patch: %v", p.cfg.Policy, rerr)
+		}
+	}
+	return err
 }
 
 // appendAndSend runs one pageout through the log: place the data,
@@ -391,13 +471,18 @@ func (pl *logPolicy) free(id page.ID) error {
 
 // --- overflow garbage collection ----------------------------------------
 
+// budget is how many data versions, active and superseded, the log may
+// hold: the live pages plus the overflow fraction, plus the open group.
+func (pl *logPolicy) budget() int {
+	return int(float64(pl.log.Live())*(1+pl.overflowBudget)) + pl.log.K()
+}
+
 // maybeGC rewrites live pages of fragmented groups when inactive
 // versions exceed the overflow budget (paper: servers devote 10% more
 // memory; "in this case, one has to perform garbage collection").
 func (pl *logPolicy) maybeGC() {
 	stored, _ := pl.log.VersionsStored()
-	budget := int(float64(pl.log.Live())*(1+pl.overflowBudget)) + pl.log.K()
-	excess := stored - budget
+	excess := stored - pl.budget()
 	if excess <= 0 {
 		return
 	}

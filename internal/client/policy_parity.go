@@ -85,8 +85,6 @@ func newParityPolicy(p *Pager) *parityPolicy {
 	return pp
 }
 
-func (pp *parityPolicy) parityAddr() string { return pp.p.servers[pp.parityIdx].addr }
-
 // tolerance: one parity server covers any one crash.
 func (pp *parityPolicy) tolerance() int { return 1 }
 
@@ -98,31 +96,33 @@ func (pp *parityPolicy) tolerance() int { return 1 }
 // status (the home server could not forward the delta), not as a
 // connection error — so that case probes the parity server directly
 // and triggers its crash handling.
-func (pp *parityPolicy) xorWrite(srv int, key uint64, data page.Buf, parityKey uint64, fresh bool) error {
+//
+// An XORWRITE that did not ack leaves its group's parity in doubt until
+// recomputed (the log engine's patch obeys the same rule): a status
+// means the page may be stored with its delta refused, and the replay
+// of a stored write forwards new XOR new — nothing — so a later success
+// would leave the old contribution in the parity for good. g goes
+// stale and its parity is recomputed from the members as stored, here,
+// before any retry. (A transport failure takes the home server's crash
+// path instead, which decodes the page from the parity as it stands.)
+func (pp *parityPolicy) xorWrite(srv int, key uint64, data page.Buf, g *parityGroup, fresh bool) error {
 	p := pp.p
 	rs := p.servers[srv]
 	if !rs.alive {
 		return fmt.Errorf("client: server %s is down", rs.addr)
 	}
-	// XORWRITE is safe to replay: the home server stores the new
-	// contents and forwards old^new, so a duplicate of a completed
-	// write forwards a zero delta and the parity is unchanged.
-	if err := p.withConn(srv, true, func(c *Conn) error {
-		return c.XorWrite(key, data, pp.parityAddr(), parityKey)
-	}); err != nil {
-		if isConnError(err) {
-			p.serverDied(srv, err)
-		} else {
-			pp.checkParityServer()
+	if err := p.sendXor(srv, key, data, pp.parityIdx, g.parityKey, true); err != nil {
+		if !isConnError(err) {
+			g.stale = true
+			pp.checkParityServer() // if it died, its crash handler recomputes every group
+			if g.stale {
+				pp.repairGroup(g)
+			}
 		}
 		return err
 	}
-	p.stats.NetTransfers += 2
 	if fresh {
 		rs.used++
-	}
-	if rs.conn.PressureAdvised() {
-		rs.pressured = true
 	}
 	return nil
 }
@@ -151,7 +151,7 @@ func (pp *parityPolicy) pageOut(id page.ID, data page.Buf) error {
 			pp.dropMemberBookkeeping(id)
 			break
 		}
-		if err := pp.xorWrite(home.srv, home.key, data, g.parityKey, false); err == nil {
+		if err := pp.xorWrite(home.srv, home.key, data, g, false); err == nil {
 			return nil
 		}
 	}
@@ -188,7 +188,7 @@ func (pp *parityPolicy) place(id page.ID, data page.Buf) error {
 			p.servers[pp.parityIdx].used++
 		}
 		key := p.allocKey()
-		if err := pp.xorWrite(srv, key, data, g.parityKey, true); err != nil {
+		if err := pp.xorWrite(srv, key, data, g, true); err != nil {
 			if s, ok := pp.slots[srv]; ok {
 				s.release(slot)
 			}
@@ -340,7 +340,9 @@ func (pp *parityPolicy) deleteGroup(g *parityGroup) {
 
 // free releases the page: its contribution is XORed out of the group
 // parity (by writing zeros, whose delta is the old contents), then
-// the slot is freed.
+// the slot is freed. A member dropped with its contribution still in
+// the parity — dead home, failed zero-write — leaves the group stale
+// until the parity is recomputed from the members that remain.
 func (pp *parityPolicy) free(id page.ID) error {
 	p := pp.p
 	p.ensureAllRecovered()
@@ -353,14 +355,24 @@ func (pp *parityPolicy) free(id page.ID) error {
 		return nil
 	}
 	g := pp.groups[home.slot]
+	xoredOut := false
 	if p.servers[home.srv].alive {
 		zero := page.GetZero()
-		if err := pp.xorWrite(home.srv, home.key, zero, g.parityKey, false); err == nil {
+		if err := pp.xorWrite(home.srv, home.key, zero, g, false); err == nil {
 			p.freeSlots(home.srv, home.key)
 			page.Put(zero) // acked: the write loop no longer references it
+			xoredOut = true
+		} else if now, ok := pp.homes[id]; !ok || now != home {
+			// The home died under the write and its crash handler re-homed
+			// the page (or lost it): free it where it is now.
+			return pp.free(id)
 		}
 	}
 	pp.dropMemberBookkeeping(id)
+	if !xoredOut && g != nil && pp.groups[home.slot] == g {
+		g.stale = true
+		pp.repairGroup(g)
+	}
 	return nil
 }
 

@@ -3,6 +3,7 @@ package client_test
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"rmp/internal/chaos"
@@ -61,26 +62,46 @@ func fillPage(fill uint64) page.Buf {
 
 // crashProp is one row of the crash-property table: a policy, the
 // cluster it runs on, and how many servers it promises to survive
-// losing in the same instant.
+// losing in the same instant. k and m are PolicyRS's shape.
 type crashProp struct {
 	name      string
 	pol       client.Policy
 	servers   int
 	tolerance int
+	k, m      int
+	// patches says the row's layout overwrites in place at its overflow
+	// budget: the workloads run past the budget, so across a test's
+	// seeds some groups must have been patched before the servers die.
+	patches bool
 }
 
 // crashProps: all six policies. The three shapes of the copy engine —
 // a single copy promises nothing, a mirror one crash, and the
 // write-through disk copy outlives every server; in-place parity; and
-// the two shapes of the log engine — the paper's parity logging, (3,1)
-// on four servers, and RS(4,2) on six.
+// the shapes of the log engine — the paper's parity logging, (3,1) on
+// four servers, RS(2,1) on three, and RS(4,2) on six, which cleans
+// where the single-parity rows patch.
 var crashProps = []crashProp{
-	{"NO_RELIABILITY", client.PolicyNone, 3, 0},
-	{"MIRRORING", client.PolicyMirroring, 3, 1},
-	{"WRITE_THROUGH", client.PolicyWriteThrough, 3, 3},
-	{"PARITY", client.PolicyParity, 4, 1},
-	{"PARITY_LOGGING", client.PolicyParityLogging, 4, 1},
-	{"RS(4,2)", client.PolicyRS, 6, 2},
+	{name: "NO_RELIABILITY", pol: client.PolicyNone, servers: 3, tolerance: 0},
+	{name: "MIRRORING", pol: client.PolicyMirroring, servers: 3, tolerance: 1},
+	{name: "WRITE_THROUGH", pol: client.PolicyWriteThrough, servers: 3, tolerance: 3},
+	{name: "PARITY", pol: client.PolicyParity, servers: 4, tolerance: 1},
+	{name: "PARITY_LOGGING", pol: client.PolicyParityLogging, servers: 4, tolerance: 1, patches: true},
+	{name: "RS(2,1)", pol: client.PolicyRS, servers: 3, tolerance: 1, k: 2, m: 1, patches: true},
+	{name: "RS(4,2)", pol: client.PolicyRS, servers: 6, tolerance: 2, k: 4, m: 2},
+}
+
+// patchCount sums Stats.Patches over the parallel seeds of one row.
+type patchCount struct{ n atomic.Uint64 }
+
+// check fails a row that promises patches and saw none.
+func (pc *patchCount) check(t *testing.T, tc crashProp) {
+	t.Helper()
+	got := pc.n.Load()
+	t.Logf("%s: %d pageouts patched in place", tc.name, got)
+	if tc.patches && got == 0 {
+		t.Fatalf("%s: no pageout was patched in place in any seed; the crashes never met a patched group", tc.name)
+	}
 }
 
 // runKillProp is the one body of the crash properties: a seeded random
@@ -94,20 +115,21 @@ var crashProps = []crashProp{
 // shrunken cluster must stay writable. Past it the policy must fail
 // closed: every read returns the exact last-written bytes or a clean
 // error, and the pager accounts what it lost. Returns how many reads
-// failed.
-func runKillProp(t *testing.T, tc crashProp, seed int64, kills int) (lostReads int) {
+// failed; the in-place patches the workload made are added to pc.
+func runKillProp(t *testing.T, tc crashProp, seed int64, kills int, pc *patchCount) (lostReads int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	writes := genWrites(rng)
 	cl := newCluster(t, tc.servers, 4096)
 	cfg := cl.config(tc.pol)
-	cfg.RSDataShards, cfg.RSParityShards = 4, 2 // read by PolicyRS alone
+	cfg.RSDataShards, cfg.RSParityShards = tc.k, tc.m // read by PolicyRS alone
 	p := cl.pagerWith(cfg)
 	for _, w := range writes {
 		if err := p.PageOut(w.id, fillPage(w.fill)); err != nil {
 			t.Fatalf("seed %d: pageout %d: %v", seed, w.id, err)
 		}
 	}
+	pc.n.Add(p.Stats().Patches)
 	victims := chaos.NewKillSet(seed, kills, cl.killTargets()...).KillExactly(kills)
 
 	if kills <= tc.tolerance {
@@ -152,12 +174,16 @@ func TestPropertySingleCrashReconstruction(t *testing.T) {
 	const rounds = 12
 	for _, tc := range crashProps {
 		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= rounds; seed++ {
-				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-					t.Parallel()
-					runKillProp(t, tc, seed, 1)
-				})
-			}
+			var pc patchCount
+			t.Run("seeds", func(t *testing.T) {
+				for seed := int64(1); seed <= rounds; seed++ {
+					t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+						t.Parallel()
+						runKillProp(t, tc, seed, 1, &pc)
+					})
+				}
+			})
+			pc.check(t, tc)
 		})
 	}
 }
@@ -277,7 +303,7 @@ func TestPropertyRSMultiCrashReconstruction(t *testing.T) {
 			for seed := int64(1); seed <= rounds; seed++ {
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					t.Parallel()
-					runKillProp(t, tc, seed, 1+int(seed)%tc.tolerance)
+					runKillProp(t, tc, seed, 1+int(seed)%tc.tolerance, new(patchCount))
 				})
 			}
 		})
@@ -294,14 +320,21 @@ func TestPropertyFailClosedBeyondTolerance(t *testing.T) {
 			continue // the disk copy outlives every server: there is no beyond
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			lostReads := 0
-			for seed := int64(1); seed <= rounds; seed++ {
-				lostReads += runKillProp(t, tc, seed, tc.tolerance+1)
-			}
+			var lostReads atomic.Int64
+			var pc patchCount
+			t.Run("seeds", func(t *testing.T) {
+				for seed := int64(1); seed <= rounds; seed++ {
+					t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+						t.Parallel()
+						lostReads.Add(int64(runKillProp(t, tc, seed, tc.tolerance+1, &pc)))
+					})
+				}
+			})
+			pc.check(t, tc)
 			// Across the rounds at least one page must actually have
 			// been lost, or the property never exercised the fail-closed
 			// path.
-			if lostReads == 0 {
+			if lostReads.Load() == 0 {
 				t.Fatalf("no page was ever lost across %d rounds of %d simultaneous crashes", rounds, tc.tolerance+1)
 			}
 		})

@@ -271,29 +271,43 @@ func TestGroupWidthAblation(t *testing.T) {
 	}
 }
 
-// TestOverflowAblation: tighter budgets mean more GC and fewer pages
-// held on the servers.
+// TestOverflowAblation: a looser budget holds more pages on the
+// servers and never costs more; with the budget out of reach nothing is
+// cleaned or patched and the raw 1 + 1/S reappears; and under uniform
+// overwrites the cost stays at an in-place patch's two transfers however
+// tight the budget, because at the budget overwrites patch.
 func TestOverflowAblation(t *testing.T) {
 	tab, err := OverflowAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prevGC, prevHeld float64
+	const (
+		colGC = iota + 2
+		colPatches
+		colTransfers
+		colStored
+	)
+	var prev []string
 	for i, r := range tab.Rows {
-		gc, held := cell(t, r, 1), cell(t, r, 3)
-		if i > 0 {
-			if gc > prevGC {
-				t.Errorf("row %d: GC passes rose (%v -> %v) with a looser budget", i, prevGC, gc)
-			}
-			if held < prevHeld {
-				t.Errorf("row %d: held pages fell (%v -> %v) with a looser budget", i, prevHeld, held)
-			}
+		if prev != nil && prev[0] == r[0] && cell(t, r, colStored) < cell(t, prev, colStored) {
+			t.Errorf("row %d: stored/page fell (%s -> %s) with a looser budget", i, prev[colStored], r[colStored])
 		}
-		prevGC, prevHeld = gc, held
-	}
-	// The unlimited budget must never GC.
-	if last := tab.Rows[len(tab.Rows)-1]; cell(t, last, 1) != 0 {
-		t.Errorf("100%% budget still GC'd: %s passes", last[1])
+		prev = r
+		switch r[0] {
+		case "churn":
+			if r[1] == "100%" && (cell(t, r, colGC) != 0 || cell(t, r, colPatches) != 0 || cell(t, r, colTransfers) != 1.25) {
+				t.Errorf("100%% budget: %s GC passes, %s patches, %s transfers/pageout; want 0, 0, 1.25", r[colGC], r[colPatches], r[colTransfers])
+			}
+		case "uniform":
+			if got := cell(t, r, colTransfers); got > 2.05 {
+				t.Errorf("uniform overwrites at budget %s: %v transfers/pageout, want at most a patch's 2", r[1], got)
+			}
+			if cell(t, r, colPatches) == 0 {
+				t.Errorf("uniform overwrites at budget %s: nothing was patched in place", r[1])
+			}
+		default:
+			t.Errorf("row %d: unknown workload %q", i, r[0])
+		}
 	}
 }
 

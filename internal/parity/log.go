@@ -17,19 +17,26 @@
 // parity update (footnote 3 of the paper). Inactive versions occupy
 // server memory ("overflow"); when every member of a group is
 // inactive the group's server slots and parity slots are reclaimed.
-// If fragmentation eats the overflow, garbage collection rewrites the
-// active members of the emptiest groups into fresh groups.
+// If fragmentation eats the overflow there are two ways on: garbage
+// collection rewrites the active members of the emptiest groups into
+// fresh groups, or — single parity only — the pager overwrites a page's
+// sealed slot in place and has its server XOR old ^ new into the
+// group's parity (PatchTarget), which stores nothing new. The Log keeps
+// the census both need: sealed groups by active-member count.
+//
+// A patch is two writes on two machines, so between BeginPatch and
+// EndPatch the group's parity is in doubt and the Log plans no decode
+// through it; a patch that fails is never ended.
 //
 // Log is pure bookkeeping: it decides placements, parity seals,
-// reclamations, recovery and GC plans, while the pager performs the
-// actual transfers. That separation makes the algorithm exhaustively
-// testable without a network.
+// reclamations, patch targets, recovery and GC plans, while the pager
+// performs the actual transfers. That separation makes the algorithm
+// exhaustively testable without a network.
 package parity
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"rmp/internal/page"
 	"rmp/internal/rs"
@@ -79,6 +86,11 @@ type group struct {
 	members []member // index == column
 	parity  []uint64 // parity keys by parity index; nil until sealed
 	active  int      // count of active members
+	// inDoubt: an in-place patch of a member was sent and has not been
+	// acknowledged, so the stored parity may or may not hold its delta.
+	// plan refuses such a group (fail closed) until the ack clears the
+	// mark or a rebuild replaces the log.
+	inDoubt bool
 }
 
 func (g *group) sealed() bool { return g.parity != nil }
@@ -110,6 +122,11 @@ type Log struct {
 	// because the pager asks after every pageout.
 	stored       int
 	sealedGroups int
+	// byActive[a] holds the sealed groups with a active members, kept in
+	// step by seal, deactivate and reclaim. Cleaning takes its victims
+	// from the emptiest bucket up, and the pager weighs cleaning against
+	// patching by what the emptiest victim would cost.
+	byActive []map[uint64]*group
 
 	// sealed is the transfer order the last seal handed out, reused so
 	// that a seal allocates nothing but the group's parity keys.
@@ -132,6 +149,7 @@ type Stats struct {
 	Seals       uint64
 	Reclaims    uint64
 	Invalidates uint64
+	Patches     uint64
 }
 
 // NewLog creates the paper's parity log: s data columns and one XOR
@@ -147,16 +165,20 @@ func NewShapedLog(k, m int) (*Log, error) {
 	}
 	l := &Log{
 		k: k, m: m,
-		code:    code,
-		buffers: make([][]byte, m),
-		groups:  make(map[uint64]*group),
-		live:    make(map[page.ID]liveRef),
-		sealed:  SealedParity{Slots: make([]ColumnKey, m), Data: make([]page.Buf, m)},
-		shards:  make([][]byte, k+m),
-		present: make([]bool, k+m),
+		code:     code,
+		buffers:  make([][]byte, m),
+		groups:   make(map[uint64]*group),
+		live:     make(map[page.ID]liveRef),
+		byActive: make([]map[uint64]*group, k+1),
+		sealed:   SealedParity{Slots: make([]ColumnKey, m), Data: make([]page.Buf, m)},
+		shards:   make([][]byte, k+m),
+		present:  make([]bool, k+m),
 	}
 	for j := range l.buffers {
 		l.buffers[j] = page.GetZero()
+	}
+	for a := range l.byActive {
+		l.byActive[a] = make(map[uint64]*group)
 	}
 	return l, nil
 }
@@ -245,6 +267,7 @@ func (l *Log) seal() *SealedParity {
 		l.buffers[j] = page.GetZero()
 	}
 	l.sealedGroups++
+	l.byActive[g.active][g.id] = g
 	l.stats.Seals++
 	l.cur = nil
 	return out
@@ -261,9 +284,14 @@ func (l *Log) deactivate(ref liveRef) *Reclaim {
 	m.active = false
 	g.active--
 	l.stats.Invalidates++
-	if g.active == 0 && g.sealed() {
+	if !g.sealed() {
+		return nil
+	}
+	delete(l.byActive[g.active+1], g.id)
+	if g.active == 0 {
 		return l.reclaim(g)
 	}
+	l.byActive[g.active][g.id] = g
 	return nil
 }
 
@@ -278,7 +306,8 @@ func (l *Log) slots(g *group, out []ColumnKey) []ColumnKey {
 	return out
 }
 
-// reclaim removes a dead sealed group and lists its slots for freeing.
+// reclaim removes a dead sealed group, already out of the census, and
+// lists its slots for freeing.
 func (l *Log) reclaim(g *group) *Reclaim {
 	delete(l.groups, g.id)
 	l.stored -= len(g.members)
@@ -309,6 +338,53 @@ func (l *Log) Free(p page.ID) []Reclaim {
 		return []Reclaim{*r}
 	}
 	return nil
+}
+
+// PatchTarget names the slots an in-place overwrite of a live page
+// touches: its own, and its sealed group's one parity shard.
+type PatchTarget struct {
+	Group  uint64
+	Slot   ColumnKey
+	Parity ColumnKey
+	Active int // active members of the group, this page included
+}
+
+// PatchTarget reports where the live version of p can be overwritten in
+// place: new contents into Slot, old XOR new into Parity (the server's
+// XORWRITE does both). Nothing in the log changes — no key, no member,
+// no version count. Only a single-parity shape qualifies, whose parity
+// is the plain XOR of the members; and only a sealed group whose stored
+// parity is not already in doubt (the open group's parity still lives
+// in the client's buffers, which cannot take a delta without the old
+// contents).
+func (l *Log) PatchTarget(p page.ID) (PatchTarget, bool) {
+	ref, ok := l.live[p]
+	if !ok || l.m != 1 {
+		return PatchTarget{}, false
+	}
+	g := l.groups[ref.group]
+	if !g.sealed() || g.inDoubt {
+		return PatchTarget{}, false
+	}
+	return PatchTarget{
+		Group:  g.id,
+		Slot:   ColumnKey{Column: ref.index, Key: g.members[ref.index].key},
+		Parity: ColumnKey{Column: l.k, Key: g.parity[0]},
+		Active: g.active,
+	}, true
+}
+
+// BeginPatch puts the group's parity in doubt; the caller sends the
+// patch next. Until EndPatch no member of the group decodes through it.
+func (l *Log) BeginPatch(t PatchTarget) { l.groups[t.Group].inDoubt = true }
+
+// EndPatch records the acknowledgement of the patch BeginPatch opened:
+// slot and parity both hold the new contents. A patch that fails is
+// never ended — the group stays in doubt until a rebuild replaces the
+// log.
+func (l *Log) EndPatch(t PatchTarget) {
+	l.groups[t.Group].inDoubt = false
+	l.stats.Patches++
 }
 
 // Live returns how many logical pages have a live version in the log.
@@ -455,6 +531,11 @@ func (l *Log) PlanPage(p page.ID, erased ...int) (LostPage, error) {
 // plan picks the survivors that rebuild member idx of g with the
 // columns in erased (and idx itself) gone.
 func (l *Log) plan(g *group, idx int, erased []int) (LostPage, error) {
+	if g.inDoubt {
+		// Decoding through a parity that may lack a delta (or hold one its
+		// data slot does not) would fabricate bytes no checksum catches.
+		return LostPage{}, fmt.Errorf("%w: the parity of group %d is in doubt after an unacknowledged patch", ErrUnrecoverable, g.id)
+	}
 	lp := LostPage{Page: g.members[idx].page, Column: idx, UseBuffer: !g.sealed()}
 	up := func(c int) bool { return c != idx && !containsInt(erased, c) }
 	for c, m := range g.members {
@@ -535,33 +616,39 @@ func (l *Log) Reconstruct(lp LostPage, pages []page.Buf) (page.Buf, error) {
 // point Append returns their Reclaims naturally. This implements the
 // paper's "combining their active pages to new ones".
 func (l *Log) GCCandidates(wantSlots int) []page.ID {
-	var cands []*group
-	for _, g := range l.groups {
-		if !g.sealed() || g.active == len(g.members) {
-			continue // full groups yield nothing
-		}
-		cands = append(cands, g)
-	}
-	// Emptiest groups first: most reclaimable slots per page rewritten.
-	// Equally empty groups stay in the order this pass's map iteration
-	// produced, a fresh one every pass, and that is deliberate: any
-	// fixed tie-break (group id ascending, descending or hashed) ties
-	// the victims to write order, and on the benchmark's GAUSS workload
-	// each of those cost 6-13 % more transfers per pageout than the
-	// per-pass order.
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].active < cands[j].active })
 	var out []page.ID
 	covered := 0
-	for _, g := range cands {
-		if covered >= wantSlots {
-			break
-		}
-		for _, m := range g.members {
-			if m.active {
-				out = append(out, m.page)
+	// Emptiest groups first: most reclaimable slots per page rewritten;
+	// full groups (the last bucket) yield nothing. Equally empty groups
+	// come in the order this pass's map iteration produces, a fresh one
+	// every pass, and that is deliberate: any fixed tie-break (group id
+	// ascending, descending or hashed) ties the victims to write order,
+	// and on the benchmark's GAUSS workload each of those cost 6-13 %
+	// more transfers per pageout than the per-pass order.
+	for _, bucket := range l.byActive[:l.k] {
+		for _, g := range bucket {
+			if covered >= wantSlots {
+				return out
 			}
+			for _, m := range g.members {
+				if m.active {
+					out = append(out, m.page)
+				}
+			}
+			covered += len(g.members) + l.m
 		}
-		covered += len(g.members) + l.m
 	}
 	return out
+}
+
+// EmptiestVictim returns the active-member count of the emptiest sealed
+// group cleaning could win slots from, or ok=false when every sealed
+// group is full.
+func (l *Log) EmptiestVictim() (active int, ok bool) {
+	for a, bucket := range l.byActive[:l.k] {
+		if len(bucket) > 0 {
+			return a, true
+		}
+	}
+	return 0, false
 }

@@ -1,6 +1,7 @@
 package parity
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // over: single parity at several widths, and two parity shards.
 var modelShapes = [][2]int{{1, 1}, {2, 1}, {3, 1}, {5, 1}, {4, 1}, {4, 2}, {3, 2}}
 
-// modelChecker runs random Append/Free sequences against a simple
+// modelChecker runs random Append/Patch/Free sequences against a simple
 // reference model and checks the log's structural invariants after
 // every operation:
 //
@@ -22,6 +23,7 @@ var modelShapes = [][2]int{{1, 1}, {2, 1}, {3, 1}, {5, 1}, {4, 1}, {4, 2}, {3, 2
 //	I4: stored versions == handed-out slots - reclaimed ones, data and
 //	    parity alike.
 //	I5: placements round-robin the columns of the open group.
+//	I6: the census of sealed groups by active count equals a recount.
 //
 // It also keeps what every handed-out slot holds, so recovery plans can
 // be carried out and their result compared with the page's last write.
@@ -39,6 +41,8 @@ type modelChecker struct {
 	paritySlots int                  // live parity-slot count
 	nextCol     int                  // I5: the column the next placement must land on
 	content     map[page.ID]page.Buf // last write of every live page
+	group       map[page.ID]uint64   // group holding each live page's version
+	inDoubt     map[uint64]bool      // groups whose patch was never acknowledged
 }
 
 func newModelChecker(t *testing.T, k, m int, seed int64) *modelChecker {
@@ -54,6 +58,8 @@ func newModelChecker(t *testing.T, k, m int, seed int64) *modelChecker {
 		stored:    make(map[uint64]page.Buf),
 		freed:     make(map[uint64]bool),
 		content:   make(map[page.ID]page.Buf),
+		group:     make(map[page.ID]uint64),
+		inDoubt:   make(map[uint64]bool),
 	}
 }
 
@@ -100,6 +106,10 @@ func (m *modelChecker) noteReclaims(recs []Reclaim) {
 func (m *modelChecker) appendPage(id page.ID) {
 	data := page.NewBuf()
 	data.Fill(m.rng.Uint64())
+	m.appendPageData(id, data)
+}
+
+func (m *modelChecker) appendPageData(id page.ID, data page.Buf) {
 	pl, sealed, recs, err := m.l.Append(id, data)
 	if err != nil {
 		m.t.Fatal(err)
@@ -126,6 +136,82 @@ func (m *modelChecker) appendPage(id page.ID) {
 	m.noteReclaims(recs)
 	m.live[id] = pl.Key
 	m.content[id] = data
+	m.group[id] = pl.Group
+	m.check()
+}
+
+// modelOverflow is the overflow fraction the model's policy enforces,
+// the pager's default.
+const modelOverflow = 0.10
+
+func (m *modelChecker) budget() int {
+	return int(float64(m.l.Live())*(1+modelOverflow)) + m.k
+}
+
+// pageOut is the pager's rule in small: patch in place when an append
+// would exceed the budget and the log can patch, append otherwise, then
+// clean down to the budget. fail leaves a patch unacknowledged, applied
+// to the slot, the parity, both or neither.
+func (m *modelChecker) pageOut(id page.ID, fail bool) {
+	stored, _ := m.l.VersionsStored()
+	if t, ok := m.l.PatchTarget(id); ok && t.Active > 1 && stored+1 > m.budget() {
+		m.patchPage(id, t, fail)
+	} else {
+		m.appendPage(id)
+	}
+	for {
+		stored, _ = m.l.VersionsStored()
+		excess := stored - m.budget()
+		if excess <= 0 {
+			break
+		}
+		victims := m.l.GCCandidates(excess)
+		if len(victims) == 0 {
+			m.t.Fatalf("%d versions over a budget of %d and nothing to clean", stored, m.budget())
+		}
+		for _, v := range victims {
+			data := m.content[v]
+			m.appendPageData(v, data)
+		}
+	}
+}
+
+func (m *modelChecker) patchPage(id page.ID, t PatchTarget, fail bool) {
+	if got := m.live[id]; t.Slot.Key != got || m.allocated[t.Parity.Key] != m.k {
+		m.t.Fatalf("patch target %+v: page %v lives at key %d", t, id, got)
+	}
+	before, _ := m.l.VersionsStored()
+	data := page.NewBuf()
+	data.Fill(m.rng.Uint64())
+	delta := data.Clone()
+	page.XORInto(delta, m.stored[t.Slot.Key])
+
+	m.l.BeginPatch(t)
+	m.inDoubt[t.Group] = true
+	m.checkDecodes() // between the send and the ack
+	landed := 3      // bit 0: the slot took the page; bit 1: the parity took the delta
+	if fail {
+		landed = m.rng.Intn(4)
+	}
+	if landed&1 != 0 {
+		m.stored[t.Slot.Key] = data
+	}
+	if landed&2 != 0 {
+		page.XORInto(m.stored[t.Parity.Key], delta)
+	}
+	if fail {
+		// The pager rebuilds here; the model keeps the group, in doubt for
+		// good, and takes the page to be whatever its slot now holds — what
+		// a cleaner reading the slot would carry forward.
+		m.content[id] = m.stored[t.Slot.Key]
+	} else {
+		m.l.EndPatch(t)
+		delete(m.inDoubt, t.Group)
+		m.content[id] = data
+	}
+	if after, _ := m.l.VersionsStored(); after != before {
+		m.t.Fatalf("a patch took the log from %d to %d stored versions", before, after)
+	}
 	m.check()
 }
 
@@ -133,6 +219,7 @@ func (m *modelChecker) freePage(id page.ID) {
 	m.noteReclaims(m.l.Free(id))
 	delete(m.live, id)
 	delete(m.content, id)
+	delete(m.group, id)
 	if _, still := m.l.Lookup(id); still {
 		m.t.Fatalf("page %v still live after Free", id)
 	}
@@ -161,6 +248,72 @@ func (m *modelChecker) check() {
 	}
 	if got := len(m.l.AllSlots()); got != data+parity {
 		m.t.Fatalf("AllSlots lists %d slots, %d stored", got, data+parity)
+	}
+	// I6: the census agrees with a recount, and so does every group's
+	// own counter.
+	recount := make([]int, m.k+1)
+	for _, g := range m.l.groups {
+		active := 0
+		for _, mem := range g.members {
+			if mem.active {
+				active++
+			}
+		}
+		if active != g.active {
+			m.t.Fatalf("group %d counts %d active members, has %d", g.id, g.active, active)
+		}
+		if g.sealed() {
+			recount[active]++
+		}
+	}
+	for a, bucket := range m.l.byActive {
+		if len(bucket) != recount[a] {
+			m.t.Fatalf("census holds %d sealed groups with %d active members, recount %d", len(bucket), a, recount[a])
+		}
+		for id, g := range bucket {
+			if g != m.l.groups[id] || g.active != a {
+				m.t.Fatalf("census files group %d (%d active) under %d", id, g.active, a)
+			}
+		}
+	}
+}
+
+// checkDecodes erases every set of up to m columns and decodes every
+// live page sitting on one of them from the rest of its group: right
+// bytes, or — through a group whose parity is in doubt —
+// ErrUnrecoverable and nothing else.
+func (m *modelChecker) checkDecodes() {
+	for _, dead := range subsets(m.k+m.m, m.m) {
+		for id, key := range m.live {
+			if !containsInt(dead, m.allocated[key]) {
+				continue
+			}
+			lp, err := m.l.PlanPage(id, dead...)
+			if m.inDoubt[m.group[id]] {
+				if !errors.Is(err, ErrUnrecoverable) {
+					m.t.Fatalf("dead %v: page %v of in-doubt group %d planned with err = %v, want ErrUnrecoverable", dead, id, m.group[id], err)
+				}
+				continue
+			}
+			if err != nil {
+				m.t.Fatalf("dead %v page %v: %v", dead, id, err)
+			}
+			pages := make([]page.Buf, len(lp.Survivors))
+			for i, ck := range lp.Survivors {
+				if containsInt(dead, ck.Column) {
+					m.t.Fatalf("dead %v: survivor on erased column %d", dead, ck.Column)
+				}
+				pages[i] = m.stored[ck.Key]
+			}
+			got, err := m.l.Reconstruct(lp, pages)
+			if err != nil {
+				m.t.Fatalf("dead %v page %v: %v", dead, id, err)
+			}
+			if got.Checksum() != m.content[id].Checksum() {
+				m.t.Fatalf("dead %v: page %v decoded wrong", dead, id)
+			}
+			page.Put(got)
+		}
 	}
 }
 
@@ -197,6 +350,46 @@ func TestLogModelRandomOps(t *testing.T) {
 					seed, shape, data, parity)
 			}
 		}
+	}
+}
+
+// TestLogModelPatches drives the log the way the pager does at its
+// overflow budget — few pages, many overwrites, so most pageouts patch —
+// with an occasional patch that never acks, and decodes every live page
+// through every erasure the shape tolerates after every step. A patched
+// group must decode like any other; a group in doubt must never decode;
+// the version count must stay within the budget without help from the
+// patches.
+func TestLogModelPatches(t *testing.T) {
+	for _, shape := range modelShapes {
+		k, pm := shape[0], shape[1]
+		t.Run(fmt.Sprintf("%d+%d", k, pm), func(t *testing.T) {
+			patches := uint64(0)
+			for seed := int64(0); seed < 2; seed++ {
+				m := newModelChecker(t, k, pm, 200+seed)
+				nPages := 6 + m.rng.Intn(8)
+				for op := 0; op < 120; op++ {
+					id := page.ID(m.rng.Intn(nPages))
+					switch r := m.rng.Intn(20); {
+					case r == 0:
+						m.freePage(id)
+					default:
+						m.pageOut(id, r == 1)
+						if stored, _ := m.l.VersionsStored(); stored > m.budget() {
+							t.Fatalf("seed %d op %d: %d versions stored, budget %d", seed, op, stored, m.budget())
+						}
+					}
+					m.checkDecodes()
+				}
+				patches += m.l.Stats().Patches
+			}
+			if pm == 1 && k > 1 && patches == 0 {
+				t.Fatal("no pageout was patched")
+			}
+			if pm > 1 && patches != 0 {
+				t.Fatalf("%d patches on a shape with %d parity shards", patches, pm)
+			}
+		})
 	}
 }
 
