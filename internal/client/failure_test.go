@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -218,6 +219,100 @@ func TestFreeDiskFallbackPage(t *testing.T) {
 			for i := uint64(0); i < 30; i++ {
 				if _, err := p.PageIn(page.ID(i)); err == nil {
 					t.Fatalf("freed page %d still readable", i)
+				}
+			}
+		})
+	}
+}
+
+// TestRefusedRedialEndsRetry: over real loopback TCP a dead daemon's
+// port refuses the re-dial, and that verdict ends the retry loop at
+// once — whichever operation met the dead server first. One re-dial,
+// no budget spent, every page still byte-correct. (Without the rule a
+// replayable request spends the whole budget re-dialling and a patch,
+// one attempt by construction, none of it: the same crash costs the
+// application milliseconds or the budget, by chance.)
+func TestRefusedRedialEndsRetry(t *testing.T) {
+	const n = 40
+	firstOps := []struct {
+		name string
+		op   func(p *client.Pager) error
+	}{
+		{"pagein", func(p *client.Pager) error {
+			for i := uint64(0); i < n; i++ {
+				if _, err := p.PageIn(page.ID(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"append", func(p *client.Pager) error {
+			for i := uint64(n); i < 2*n; i++ {
+				if err := p.PageOut(page.ID(i), mkPage(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"patch", func(p *client.Pager) error {
+			for i := uint64(0); i < n; i++ {
+				if err := p.PageOut(page.ID(i), mkPage(i+1000)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+	for _, first := range firstOps {
+		t.Run(first.name, func(t *testing.T) {
+			var servers []*server.Server
+			var addrs []string
+			for i := 0; i < 5; i++ {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := server.New(server.Config{CapacityPages: 512, OverflowFrac: 0.10})
+				s.Serve(ln)
+				t.Cleanup(func() { s.Close() })
+				servers = append(servers, s)
+				addrs = append(addrs, ln.Addr().String())
+			}
+			p, err := client.New(client.Config{
+				ClientName:  "refused-" + first.name,
+				Servers:     addrs,
+				Policy:      client.PolicyParityLogging,
+				RetryBudget: time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { p.Close() })
+			// Twice over, so the log sits at its budget and the patch
+			// row's overwrites are patches.
+			for v := uint64(0); v < 2; v++ {
+				for i := uint64(0); i < n; i++ {
+					if err := p.PageOut(page.ID(i), mkPage(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			servers[0].Close()
+			if err := first.op(p); err != nil {
+				t.Fatalf("first %s after the crash: %v", first.name, err)
+			}
+			st := p.Stats()
+			if st.DeadlineFallbacks != 0 || st.Retries > 2 {
+				t.Errorf("retry budget spent on a refused port: %d retries, %d budgets exhausted", st.Retries, st.DeadlineFallbacks)
+			}
+			for i := uint64(0); i < n; i++ {
+				want := mkPage(i)
+				if first.name == "patch" {
+					want = mkPage(i + 1000)
+				}
+				got, err := p.PageIn(page.ID(i))
+				if err != nil || got.Checksum() != want.Checksum() {
+					t.Fatalf("page %d after the crash: %v", i, err)
 				}
 			}
 		})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"syscall"
 	"time"
 
 	"rmp/internal/wire"
@@ -21,7 +22,9 @@ import (
 //     bytes under the same key; FREE/ALLOC/LOAD tolerate replay),
 //   - a total per-fault budget, after which the caller degrades
 //     (reads reconstruct through the redundancy policy or the disk,
-//     writes fall back to the local swap store), and
+//     writes fall back to the local swap store) — at once, budget
+//     unspent, when a re-dial is refused: that server is gone, not
+//     slow, and
 //   - the per-server circuit breaker (breaker.go), which fail-fasts
 //     requests to a server that keeps timing out and reports it
 //     suspect to the membership detector immediately.
@@ -106,6 +109,15 @@ func isTimeoutErr(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
+// isRefused reports whether a re-dial was refused outright: the host
+// answered and nothing listens on the port, so the daemon is gone and
+// the memory it served with it. That is a verdict, where a timeout, a
+// reset or an EOF is only a symptom; the retry loop ends on it at once
+// instead of spending the budget re-dialling.
+func isRefused(err error) bool {
+	return errors.Is(err, syscall.ECONNREFUSED)
+}
+
 // isBadChecksum reports whether err is a checksum failure — either the
 // server rejecting our frame or our verification of its response. The
 // connection stays framed (the frame was fully read), so the exchange
@@ -149,7 +161,8 @@ func (p *Pager) sleepBackoff(attempt int, budgetEnd time.Time) bool {
 
 // withConn runs op against server srv's connection under the retry
 // layer. idempotent ops are re-issued (with backoff, on a fresh
-// connection) until they succeed or the retry budget is exhausted;
+// connection) until they succeed, a re-dial is refused or the retry
+// budget is exhausted;
 // non-idempotent ops (XORDELTA) get exactly one bounded attempt.
 // Checksum failures are retried in place (the stream stays framed),
 // and so are deadline misses — the late ack is dropped by id, the
@@ -193,6 +206,12 @@ func (p *Pager) withConn(srv int, idempotent bool, op func(*Conn) error) error {
 			nc, derr := DialWithOptions(rs.addr, p.cfg.ClientName, p.cfg.AuthToken, p.dialOpts(remaining))
 			if derr != nil {
 				lastErr = derr
+				if isRefused(derr) {
+					// Gone, not slow: no backoff will bring its pages
+					// back, so the fault degrades now, whatever the
+					// operation that met the dead server was.
+					return lastErr
+				}
 				p.noteTransportFailure(rs, derr)
 				continue
 			}
