@@ -1,21 +1,16 @@
 // Package rmp's top-level benchmarks regenerate every table and
 // figure of the paper's evaluation under `go test -bench`, one
-// benchmark per artifact, plus live end-to-end benchmarks of the real
-// TCP system. `cmd/rmpbench` prints the same tables for human eyes.
+// benchmark per artifact. `cmd/rmpbench` prints the same tables for
+// human eyes. The live TCP system is measured by the gated benchmark
+// in bench/ (`bash bench/run.sh`), end to end and layer by layer.
 package rmp
 
 import (
-	"fmt"
 	"testing"
 
 	"rmp/internal/apps"
-	"rmp/internal/blockdev"
-	"rmp/internal/client"
 	"rmp/internal/experiments"
-	"rmp/internal/page"
-	"rmp/internal/server"
 	"rmp/internal/sim"
-	"rmp/internal/vm"
 )
 
 // --- one benchmark per figure -------------------------------------------
@@ -118,37 +113,6 @@ func BenchmarkMultiClientEthernet(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveBatchPageOut measures the pipelined batch path against
-// BenchmarkLiveRoundTrip*'s one-at-a-time pageouts.
-func BenchmarkLiveBatchPageOut(b *testing.B) {
-	s := server.New(server.Config{CapacityPages: 1 << 16})
-	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	c, err := client.Dial(s.Addr().String(), "bench-batch", "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	const batch = 32
-	keys := make([]uint64, batch)
-	pages := make([]page.Buf, batch)
-	data := page.NewBuf()
-	data.Fill(1)
-	for i := range keys {
-		keys[i] = uint64(i)
-		pages[i] = data
-	}
-	b.SetBytes(batch * page.Size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.PageOutBatch(keys, pages); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- per-application model runs (Figure 2's inner loop) ------------------
 
 func BenchmarkSimulateApp(b *testing.B) {
@@ -171,140 +135,5 @@ func BenchmarkSimulateApp(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- live end-to-end benchmarks of the real TCP system -------------------
-
-// liveBench builds a live cluster + pager for benchmarking.
-func liveBench(b *testing.B, n int, pol client.Policy) *client.Pager {
-	b.Helper()
-	var addrs []string
-	for i := 0; i < n; i++ {
-		s := server.New(server.Config{CapacityPages: 1 << 17, OverflowFrac: 0.10})
-		if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { s.Close() })
-		addrs = append(addrs, s.Addr().String())
-	}
-	p, err := client.New(client.Config{ClientName: "bench", Servers: addrs, Policy: pol})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { p.Close() })
-	return p
-}
-
-func benchLiveRoundTrip(b *testing.B, servers int, pol client.Policy) {
-	p := liveBench(b, servers, pol)
-	data := page.NewBuf()
-	data.Fill(1)
-	b.SetBytes(2 * page.Size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := page.ID(i % 1024)
-		if err := p.PageOut(id, data); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := p.PageIn(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLiveRoundTripNone(b *testing.B) {
-	benchLiveRoundTrip(b, 2, client.PolicyNone)
-}
-
-func BenchmarkLiveRoundTripMirroring(b *testing.B) {
-	benchLiveRoundTrip(b, 2, client.PolicyMirroring)
-}
-
-func BenchmarkLiveRoundTripParity(b *testing.B) {
-	benchLiveRoundTrip(b, 3, client.PolicyParity)
-}
-
-func BenchmarkLiveRoundTripParityLogging(b *testing.B) {
-	benchLiveRoundTrip(b, 5, client.PolicyParityLogging)
-}
-
-func BenchmarkLiveRoundTripWriteThrough(b *testing.B) {
-	benchLiveRoundTrip(b, 2, client.PolicyWriteThrough)
-}
-
-// BenchmarkLiveAppOverPager runs a small real FFT over the live stack
-// (vm -> blockdev -> pager -> TCP -> servers) per iteration.
-func BenchmarkLiveAppOverPager(b *testing.B) {
-	p := liveBench(b, 5, client.PolicyParityLogging)
-	dev := blockdev.NewPagerDevice(p)
-	w := apps.NewFFT(1 << 13)
-	b.SetBytes(w.Bytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		space, err := vm.New(w.Bytes(), w.Bytes()/4, dev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := w.Run(space); err != nil {
-			b.Fatal(err)
-		}
-		if err := space.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRecoveryParityLogging measures live crash recovery: each
-// iteration builds a cluster, pages out, kills a server, and touches
-// a page to trigger reconstruction of the whole layout.
-func BenchmarkRecoveryParityLogging(b *testing.B) {
-	benchRecovery(b, client.PolicyParityLogging, 5)
-}
-
-func BenchmarkRecoveryMirroring(b *testing.B) {
-	benchRecovery(b, client.PolicyMirroring, 3)
-}
-
-func benchRecovery(b *testing.B, pol client.Policy, n int) {
-	data := page.NewBuf()
-	data.Fill(7)
-	const pages = 128
-	b.SetBytes(pages * page.Size)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		var addrs []string
-		var servers []*server.Server
-		for j := 0; j < n; j++ {
-			s := server.New(server.Config{CapacityPages: 1 << 16, OverflowFrac: 0.10})
-			if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			servers = append(servers, s)
-			addrs = append(addrs, s.Addr().String())
-		}
-		p, err := client.New(client.Config{ClientName: fmt.Sprintf("bench-%d", i), Servers: addrs, Policy: pol})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for k := uint64(0); k < pages; k++ {
-			if err := p.PageOut(page.ID(k), data); err != nil {
-				b.Fatal(err)
-			}
-		}
-		servers[0].Close()
-		b.StartTimer()
-		// One pagein on the dead server's share triggers full recovery.
-		for k := uint64(0); k < pages; k++ {
-			if _, err := p.PageIn(page.ID(k)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		p.Close()
-		for _, s := range servers[1:] {
-			s.Close()
-		}
-		b.StartTimer()
 	}
 }

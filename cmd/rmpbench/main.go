@@ -8,7 +8,10 @@
 //	rmpbench -fig 2           # one figure (1-5)
 //	rmpbench -exp latency     # one experiment: latency, busy,
 //	                          # loadednet, decomp, recovery,
-//	                          # wtablation, pipeline, ...
+//	                          # wtablation, tier, rs, scale, ...
+//
+// Kernel, frame-codec and round-trip timings are not here: they are
+// the layer metrics of the gated benchmark (bash bench/run.sh).
 package main
 
 import (
@@ -26,7 +29,7 @@ var asCSV bool
 func main() {
 	experiments.MaybeSpin() // child role for the busy-server experiment
 	fig := flag.Int("fig", 0, "regenerate one figure (1-5); 0 = all")
-	exp := flag.String("exp", "", "run one experiment: latency|busy|loadednet|multiclient|decomp|recovery|wtablation|swidth|overflow|avail|pipeline|tier|rs|hotpath|scale")
+	exp := flag.String("exp", "", "run one experiment: latency|busy|loadednet|multiclient|decomp|recovery|wtablation|swidth|overflow|avail|tier|rs|scale")
 	flag.BoolVar(&asCSV, "csv", false, "emit CSV instead of aligned text")
 	flag.Parse()
 
@@ -41,7 +44,7 @@ func main() {
 			runFig(f)
 		}
 		for _, e := range []string{"decomp", "latency", "busy", "loadednet", "multiclient",
-			"recovery", "wtablation", "swidth", "overflow", "avail", "pipeline", "tier", "rs"} {
+			"recovery", "wtablation", "swidth", "overflow", "avail", "tier", "rs"} {
 			runExp(e)
 		}
 	}
@@ -101,14 +104,10 @@ func runExp(name string) {
 		t = experiments.Availability()
 	case "multiclient":
 		t = experiments.MultiClient()
-	case "pipeline":
-		t, err = experiments.Pipeline()
 	case "tier":
 		t, err = experiments.Tier()
 	case "rs":
 		t, err = experiments.RS()
-	case "hotpath":
-		t, err = experiments.Hotpath()
 	case "scale":
 		t, err = experiments.Scale()
 	default:

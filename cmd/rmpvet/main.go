@@ -3,13 +3,12 @@
 // invariant is violated. It is the mechanical enforcement of the
 // pager's concurrency and protocol rules:
 //
-//	lockcheck  — "guarded by" fields only touched under their mutex;
-//	             no undeadlined network I/O while a lock is held
+//	lockcheck  — "guarded by" fields only touched under their mutex
 //	wireswitch — switches over wire.Type are exhaustive or defaulted
 //	errwrap    — errors cross boundaries with %w, never %v/%s
-//	lifecycle  — looping goroutines always have a cancellation path
 //	lockgraph  — no lock-order cycles across the whole program; no
-//	             unbounded blocking reachable while a lock is held
+//	             unbounded channel wait or undeadlined network I/O
+//	             reachable while a lock is held
 //	goleak     — every goroutine is tied to an owner that Close/Stop
 //	             provably cancels; no mixed atomic/plain field access
 //	escapegate — //rmpvet:hotpath functions do not heap-allocate
@@ -17,11 +16,11 @@
 //
 // Usage:
 //
-//	rmpvet [-strict-lifecycle] [-json] [packages]
+//	rmpvet [-json] [packages]
 //	rmpvet -escapes [-baseline file] [-json] [packages]
 //
 // Patterns default to ./... relative to the current directory. The
-// first form runs the seven syntax/type-driven analyzers (lockgraph
+// first form runs the five syntax/type-driven analyzers (lockgraph
 // and goleak see the whole program at once). The second form compiles
 // the packages with -gcflags='-m -m' and fails if any function marked
 // //rmpvet:hotpath heap-allocates, modulo the committed baseline.
@@ -41,7 +40,6 @@ import (
 	"rmp/internal/analysis/errwrap"
 	"rmp/internal/analysis/escapegate"
 	"rmp/internal/analysis/goleak"
-	"rmp/internal/analysis/lifecycle"
 	"rmp/internal/analysis/load"
 	"rmp/internal/analysis/lockcheck"
 	"rmp/internal/analysis/lockgraph"
@@ -49,8 +47,6 @@ import (
 )
 
 func main() {
-	strictLifecycle := flag.Bool("strict-lifecycle", false,
-		"additionally require a deferred recover handler in every goroutine")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false,
 		"emit one JSON diagnostic per line instead of file:line:col text")
@@ -68,7 +64,6 @@ func main() {
 		lockcheck.Analyzer,
 		wireswitch.Analyzer,
 		errwrap.Analyzer,
-		lifecycle.NewAnalyzer(*strictLifecycle),
 	}
 	programAnalyzers := []*analysis.ProgramAnalyzer{
 		lockgraph.Analyzer,

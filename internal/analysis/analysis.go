@@ -6,22 +6,24 @@
 // packages itself (see the load sub-package) and hands each analyzer
 // a fully type-checked package.
 //
-// The four analyzers under this package mechanically enforce the
+// The analyzers under this package mechanically enforce the
 // invariants the paper's reliability argument rests on but the Go
-// compiler cannot see:
+// compiler cannot see, one analyzer per invariant:
 //
 //   - lockcheck: fields documented "guarded by <mu>" are only touched
-//     with that mutex held, and no blocking network I/O runs under a
-//     mutex without a wire deadline armed first.
+//     with that mutex held.
 //   - wireswitch: every switch over wire.Type handles all opcodes or
 //     has an explicit default, so new message types cannot be dropped
 //     silently.
 //   - errwrap: fmt.Errorf never flattens an error value with %v/%s —
 //     sentinels like ErrReqTimeout must survive wrapping (%w) for the
 //     retry/breaker fault classification to work.
-//   - lifecycle: every goroutine that runs an unbounded loop has a
-//     cancellation path (ctx, stop channel, closed flag, or a
-//     closable connection it blocks on), so components cannot leak
+//   - lockgraph (whole program): no lock-order cycle, and nothing that
+//     can park forever — a channel wait with no timer, network I/O
+//     with no wire deadline armed first — reachable under a mutex.
+//   - goleak (whole program): every goroutine is tied to an owner
+//     (ctx, stop channel, WaitGroup, closable connection) that a
+//     shutdown method provably cancels, so components cannot leak
 //     workers.
 //
 // Two source directives tune the analyzers:
@@ -31,8 +33,9 @@
 //	    diagnostics for the line.
 //	//rmpvet:holds <Type>.<mu>[, <Type>.<mu>...]
 //	    in a function's (or its receiver type's) doc comment asserts
-//	    the caller already holds the named lock; lockcheck treats the
-//	    lock as held throughout the function (or every method).
+//	    the caller already holds the named lock; lockcheck and
+//	    lockgraph treat the lock as held throughout the function (or
+//	    every method).
 package analysis
 
 import (

@@ -1,5 +1,5 @@
-// Package goleak upgrades lifecycle's per-function goroutine check
-// into a whole-program ownership analysis. Every `go` statement must
+// Package goleak is a whole-program goroutine ownership analysis —
+// the tree's one goroutine-leak check. Every `go` statement must
 // be tied to an owner — the thing whose shutdown makes the goroutine
 // exit:
 //
@@ -11,16 +11,16 @@
 //   - or, for structured concurrency, a channel/WaitGroup declared in
 //     the spawning function (the spawner is the owner).
 //
-// And — the teeth lifecycle lacked — when the owner is a *field* of
-// some component type T, a shutdown method of T (Close, Stop,
-// Shutdown, ...) must *provably* cancel it on every return path:
-// close the channel, Wait the WaitGroup, Close the conn, or set the
-// flag, either directly in the method body (not nested inside a
-// conditional), in a defer, inside a sync.Once.Do, or inside a helper
-// the shutdown method calls unconditionally. A goroutine whose stop
-// channel exists but is never closed, or is closed only on some paths
-// of Close, leaks exactly when shutdown races a fault — the paper's
-// recovery windows are where that bites.
+// And — what a per-function "the loop has an exit" check cannot see —
+// when the owner is a *field* of some component type T, a shutdown
+// method of T (Close, Stop, Shutdown, ...) must *provably* cancel it
+// on every return path: close the channel, Wait the WaitGroup, Close
+// the conn, or set the flag, either directly in the method body (not
+// nested inside a conditional), in a defer, inside a sync.Once.Do, or
+// inside a helper the shutdown method calls unconditionally. A
+// goroutine whose stop channel exists but is never closed, or is
+// closed only on some paths of Close, leaks exactly when shutdown
+// races a fault — the paper's recovery windows are where that bites.
 //
 // The body a `go` statement runs is resolved across package
 // boundaries (functions are keyed by types.Func.FullName, see the
@@ -133,7 +133,6 @@ type fnSum struct {
 var shutdownMethod = regexp.MustCompile(`(?i)^(close|shutdown|stop|halt|quit|drain|cancel|kill|terminate|abort|teardown|destroy|detach|disconnect|release|finish|end|exit|bye|wait)`)
 
 // flagName matches boolean fields whose read signals shutdown
-// (mirrors lifecycle's convention).
 var flagName = regexp.MustCompile(`(?i)^(stop|stopped|stopping|done|quit|exit|halt|shutdown|shutting|closed|closing|drain|draining|cancel|cancelled|canceled|kill)`)
 
 func run(pass *analysis.ProgramPass) error {

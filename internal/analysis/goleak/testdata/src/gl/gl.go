@@ -11,6 +11,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gldep"
 )
@@ -221,6 +222,30 @@ func noOwnerLoop() {
 
 func noOwnerLine() {
 	go work() // want "goroutine has no owner"
+}
+
+// A ticker paces a loop; it does not end one. Nothing outside the
+// goroutine can stop it.
+func tickerOnly() {
+	go func() { // want "goroutine has no owner"
+		t := time.NewTicker(time.Second)
+		for range t.C {
+			work()
+		}
+	}()
+}
+
+// A named method that spins on a type with a stop channel it never
+// consults: having an owner type is not having an owner.
+func (w *W) spawnSpin() {
+	go w.spin() // want "goroutine has no owner"
+}
+
+func (w *W) spin() {
+	n := 0
+	for {
+		n++
+	}
 }
 
 // The escape hatch still works.

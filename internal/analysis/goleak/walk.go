@@ -157,7 +157,7 @@ func scanOwnership(u *analysis.Unit, body *ast.BlockStmt, site *goSite, ix *inde
 				}
 			}
 			// A shutdown-state poll through a method (srv.Draining(),
-			// s.isClosed()): lifecycle's convention, still honored.
+			// s.isClosed()) counts like a poll of the flag itself.
 			// WaitGroup.Done is a completion signal, not a poll — it
 			// was classified as a wg owner above.
 			if flagName.MatchString(sel.Sel.Name) && !(hasRecv && isWaitGroup(recv.Type)) {

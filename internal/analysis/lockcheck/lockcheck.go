@@ -1,18 +1,11 @@
 // Package lockcheck enforces the repository's documented lock
-// discipline mechanically:
-//
-//  1. A struct field whose doc (or line) comment says "guarded by mu"
-//     — or "guarded by Type.mu" for state owned by another struct's
-//     lock, like remoteServer fields under Pager.mu — may only be
-//     read while that mutex (or its read half) is held, and only be
-//     written while it is write-held.
-//  2. Blocking network I/O (Read/Write on a net.Conn, or any call
-//     passing a net.Conn, such as wire.Encode/Decode) performed while
-//     a mutex is held must be preceded by arming a deadline
-//     (SetDeadline/SetReadDeadline/SetWriteDeadline) in the same
-//     function — the deadline-under-lock rule. A wedged peer must
-//     become a bounded timeout, never a goroutine parked forever
-//     inside a critical section.
+// discipline mechanically: a struct field whose doc (or line) comment
+// says "guarded by mu" — or "guarded by Type.mu" for state owned by
+// another struct's lock, like remoteServer fields under Pager.mu — may
+// only be read while that mutex (or its read half) is held, and only
+// be written while it is write-held. (What may not *happen* under a
+// lock — unbounded channel waits, network I/O with no deadline armed —
+// is lockgraph's rule; it sees the whole program.)
 //
 // Lock state is tracked per function over the statement list in
 // source order: x.mu.Lock() marks (Type-of-x, "mu") held, Unlock
@@ -56,7 +49,7 @@ import (
 // Analyzer is the lockcheck check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcheck",
-	Doc:  "fields documented 'guarded by <mu>' must be accessed under that mutex; no undeadlined network I/O under a lock",
+	Doc:  "fields documented 'guarded by <mu>' must be accessed under that mutex",
 	Run:  run,
 }
 
@@ -88,7 +81,6 @@ type checker struct {
 	// typeHolds maps a named type to locks every method of that type
 	// may assume held (type-level rmpvet:holds).
 	typeHolds map[*types.TypeName][]lockKey
-	netConn   *types.Interface
 }
 
 func run(pass *analysis.Pass) error {
@@ -96,10 +88,9 @@ func run(pass *analysis.Pass) error {
 		pass:      pass,
 		guards:    make(map[*types.Var]lockKey),
 		typeHolds: make(map[*types.TypeName][]lockKey),
-		netConn:   analysis.LookupIface(pass.Pkg, "net", "Conn"),
 	}
 	c.collectGuards()
-	if len(c.guards) == 0 && c.netConn == nil {
+	if len(c.guards) == 0 {
 		return nil
 	}
 	for _, file := range pass.Files {
@@ -242,9 +233,6 @@ type funcState struct {
 	// owned holds objects initialized in this function (x := &T{...});
 	// accesses through them are constructor writes, exempt.
 	owned map[types.Object]bool
-	// armed is set once any SetDeadline-family call is seen; network
-	// I/O under a lock before it is the hazard.
-	armed bool
 }
 
 // checkFunc analyzes one function declaration.
@@ -388,12 +376,9 @@ func (s *funcState) walkStmt(stmt ast.Stmt, held map[lockKey]lockMode) {
 		}
 	case *ast.GoStmt:
 		// A new goroutine holds none of our locks; its literal body is
-		// checked against an empty set (and a fresh deadline state).
+		// checked against an empty set.
 		if lit, ok := v.Call.Fun.(*ast.FuncLit); ok {
-			savedArmed := s.armed
-			s.armed = false
 			s.walkStmts(lit.Body.List, make(map[lockKey]lockMode))
-			s.armed = savedArmed
 		}
 		for _, arg := range v.Call.Args {
 			s.checkExpr(arg, held, false)
@@ -527,8 +512,8 @@ func (s *funcState) checkLHS(lhs ast.Expr, held map[lockKey]lockMode) {
 	}
 }
 
-// checkExpr walks an expression tree looking for guarded-field reads
-// and for network I/O performed under a lock.
+// checkExpr walks an expression tree looking for guarded-field
+// accesses.
 func (s *funcState) checkExpr(e ast.Expr, held map[lockKey]lockMode, write bool) {
 	if e == nil {
 		return
@@ -551,8 +536,6 @@ func (s *funcState) checkExpr(e ast.Expr, held map[lockKey]lockMode, write bool)
 					return false
 				}
 			}
-		case *ast.CallExpr:
-			s.checkNetIO(v, held)
 		}
 		return true
 	})
@@ -624,65 +607,6 @@ func baseIdent(e ast.Expr) *ast.Ident {
 		default:
 			return nil
 		}
-	}
-}
-
-// deadlineMethods arm a timeout on a connection.
-var deadlineMethods = map[string]bool{
-	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
-}
-
-// netIOMethods block on the wire when invoked on a net.Conn.
-var netIOMethods = map[string]bool{"Read": true, "Write": true}
-
-// netSafeMethods never block on peer progress: closing, addressing,
-// and the deadline setters themselves.
-var netSafeMethods = map[string]bool{
-	"Close": true, "LocalAddr": true, "RemoteAddr": true,
-	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
-}
-
-// checkNetIO flags blocking network I/O under a lock without a
-// deadline armed earlier in the function.
-func (s *funcState) checkNetIO(call *ast.CallExpr, held map[lockKey]lockMode) {
-	if s.c.netConn == nil {
-		return
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && deadlineMethods[sel.Sel.Name] {
-		s.armed = true
-		return
-	}
-	if len(held) == 0 && len(s.assumed) == 0 {
-		return
-	}
-	// Builtins (delete, append, len...) never perform I/O even when a
-	// net.Conn is among their arguments.
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if _, isBuiltin := s.c.pass.Info.Uses[id].(*types.Builtin); isBuiltin {
-			return
-		}
-	}
-	blocking := false
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if netIOMethods[sel.Sel.Name] {
-			if tv, ok := s.c.pass.Info.Types[sel.X]; ok && analysis.Implements(tv.Type, s.c.netConn) {
-				blocking = true
-			}
-		}
-		if netSafeMethods[sel.Sel.Name] {
-			return
-		}
-	}
-	if !blocking {
-		for _, arg := range call.Args {
-			if tv, ok := s.c.pass.Info.Types[arg]; ok && analysis.Implements(tv.Type, s.c.netConn) {
-				blocking = true
-				break
-			}
-		}
-	}
-	if blocking && !s.armed {
-		s.c.pass.Reportf(call.Pos(), "blocking network I/O while a mutex is held, with no deadline armed: a wedged peer parks this goroutine inside the critical section")
 	}
 }
 

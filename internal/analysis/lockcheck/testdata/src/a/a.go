@@ -2,11 +2,7 @@
 // enforces, with violations marked by want comments.
 package a
 
-import (
-	"net"
-	"sync"
-	"time"
-)
+import "sync"
 
 type counter struct {
 	mu sync.Mutex
@@ -96,27 +92,4 @@ func touch(o *owner, it *item) {
 	it.v = 1
 	o.mu.Unlock()
 	it.v = 2 // want "write to item.v .guarded by owner.mu."
-}
-
-// peer exercises the deadline-under-lock rule.
-type peer struct {
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-func (p *peer) badIO(buf []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.conn.Read(buf) // want "blocking network I/O"
-}
-
-func (p *peer) goodIO(buf []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.conn.SetDeadline(time.Now().Add(time.Second))
-	p.conn.Read(buf)
-}
-
-func (p *peer) unlockedIO(buf []byte) {
-	p.conn.Read(buf) // no lock held: fine
 }

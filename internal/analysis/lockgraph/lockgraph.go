@@ -3,10 +3,14 @@
 // in opposite orders deadlock — and (b) unbounded blocking operations
 // (channel ops without a timer or default, sync.WaitGroup.Wait,
 // blocking network I/O without a deadline) reachable while a mutex is
-// held, including transitively through calls into other packages.
-// It generalizes lockcheck's per-function "no blocking under a lock"
-// rule to the whole program: lockcheck reports direct network I/O
-// under a lock; lockgraph reports the cross-function closure.
+// held, directly or transitively through calls into other packages.
+//
+// The network half is the deadline-under-lock rule: Read/Write on a
+// net.Conn, or a call that hands a net.Conn to code this analysis
+// cannot follow it into, performed while a mutex is held must come
+// after a SetDeadline/SetReadDeadline/SetWriteDeadline in the same
+// function, in source order. A wedged peer must become a bounded
+// timeout, never a goroutine parked forever inside a critical section.
 //
 // Model: every function gets a summary — the locks it acquires, the
 // calls it makes, and the unbounded blocking operations it performs,
@@ -76,7 +80,7 @@ type callSite struct {
 	pos    token.Pos
 	callee string // types.Func.FullName
 	held   []string
-	armed  bool // a wire deadline was armed in the caller
+	armed  bool // a wire deadline was armed in the caller before this call
 }
 
 // blockSite is one direct unbounded blocking operation.
@@ -120,8 +124,12 @@ type edgeEv struct {
 func run(pass *analysis.ProgramPass) error {
 	sums := map[string]*fnSum{}
 	order := []string{} // deterministic iteration
+	inProg := map[string]bool{}
 	for _, u := range pass.Units {
-		b := &builder{pass: pass, u: u, sums: sums, order: &order}
+		inProg[u.Pkg.Path()] = true
+	}
+	for _, u := range pass.Units {
+		b := &builder{pass: pass, u: u, sums: sums, order: &order, inProg: inProg}
 		b.typeHolds = collectTypeHolds(u)
 		b.netConn = analysis.LookupIface(u.Pkg, "net", "Conn")
 		for _, f := range u.Files {
@@ -174,6 +182,7 @@ type builder struct {
 	u         *analysis.Unit
 	sums      map[string]*fnSum
 	order     *[]string
+	inProg    map[string]bool // package paths of the loaded units
 	typeHolds map[string][]string
 	netConn   *types.Interface
 }
@@ -205,7 +214,6 @@ func (b *builder) walkFn(name string, body *ast.BlockStmt, held map[string]bool)
 	b.sums[name] = sum
 	*b.order = append(*b.order, name)
 	w := &walker{b: b, sum: sum, locals: map[types.Object]bool{}}
-	w.armed = w.preArmed(body)
 	w.stmts(body.List, held)
 }
 
@@ -223,32 +231,16 @@ func (b *builder) resolveHold(h string) string {
 
 // walker threads a held-lock set through one function body.
 type walker struct {
-	b      *builder
-	sum    *fnSum
+	b   *builder
+	sum *fnSum
+	// armed is set once a SetDeadline-family call has been walked;
+	// network I/O before it, in source order, is the hazard. Goroutine
+	// bodies and callback literals get a fresh walker, so they start
+	// unarmed.
 	armed  bool
 	locals map[types.Object]bool // channels and WaitGroups declared in this function
 	goN    int
 	fnN    int
-}
-
-// preArmed reports whether body arms a wire deadline anywhere outside
-// goroutine bodies — matching lockcheck's function-wide armed rule.
-func (w *walker) preArmed(body *ast.BlockStmt) bool {
-	armed := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.GoStmt:
-			if _, ok := v.Call.Fun.(*ast.FuncLit); ok {
-				return false
-			}
-		case *ast.CallExpr:
-			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && isDeadlineName(sel.Sel.Name) {
-				armed = true
-			}
-		}
-		return !armed
-	})
-	return armed
 }
 
 func isDeadlineName(name string) bool {
@@ -341,7 +333,6 @@ func (w *walker) stmt(s ast.Stmt, held map[string]bool) map[string]bool {
 			w.b.sums[name] = sub
 			*w.b.order = append(*w.b.order, name)
 			gw := &walker{b: w.b, sum: sub, locals: w.locals}
-			gw.armed = gw.preArmed(lit.Body)
 			gw.stmts(lit.Body.List, map[string]bool{})
 		}
 		for _, arg := range v.Call.Args {
@@ -649,7 +640,6 @@ func (w *walker) expr(e ast.Expr, held map[string]bool) {
 			w.b.sums[name] = sub
 			*w.b.order = append(*w.b.order, name)
 			fw := &walker{b: w.b, sum: sub, locals: w.locals}
-			fw.armed = fw.preArmed(v.Body)
 			fw.stmts(v.Body.List, map[string]bool{})
 			return false
 		case *ast.UnaryExpr:
@@ -689,6 +679,9 @@ func (w *walker) call(call *ast.CallExpr, held map[string]bool) {
 				})
 			}
 		}
+		if isDeadlineName(sel.Sel.Name) {
+			w.armed = true
+		}
 		if !w.armed && w.b.netConn != nil && recvT != nil && analysis.Implements(recvT, w.b.netConn) {
 			switch sel.Sel.Name {
 			case "Read", "Write", "ReadFrom", "WriteTo":
@@ -701,22 +694,29 @@ func (w *walker) call(call *ast.CallExpr, held map[string]bool) {
 		}
 	}
 
-	// Conn-typed argument to a call we cannot resolve in-program:
-	// treat as potential network I/O (io.ReadFull(conn, ...) etc.).
+	// A net.Conn handed to code whose summary cannot see it as one is
+	// potential network I/O at this site: a callee with no body in the
+	// program (io.ReadFull(conn, ...), an interface method, a function
+	// value), or one that takes it as a plain io.Reader/io.Writer
+	// (wire.Decode(conn)). Builtins and conversions (delete(conns, c),
+	// append(conns, c)) never perform I/O whatever their arguments.
 	callee := w.resolveCallee(call)
-	if callee == "" && !w.armed && w.b.netConn != nil {
-		for _, arg := range call.Args {
-			t := info.TypeOf(arg)
-			if t != nil && analysis.Implements(t, w.b.netConn) {
-				if !isNetSafeCall(call) {
-					w.sum.blocks = append(w.sum.blocks, blockSite{
-						pos: call.Pos(), kind: blockNet,
-						desc: "call passing a net.Conn with no deadline armed",
-						held: heldSlice(held),
-					})
-				}
-				break
+	if tv := info.Types[call.Fun]; !w.armed && w.b.netConn != nil &&
+		!tv.IsBuiltin() && !tv.IsType() && !isNetSafeCall(call) {
+		sig, _ := tv.Type.(*types.Signature)
+		for i, arg := range call.Args {
+			if !analysis.Implements(info.TypeOf(arg), w.b.netConn) {
+				continue
 			}
+			if callee != "" && analysis.Implements(paramType(sig, i), w.b.netConn) {
+				continue // the callee's own summary follows the conn
+			}
+			w.sum.blocks = append(w.sum.blocks, blockSite{
+				pos: call.Pos(), kind: blockNet,
+				desc: "call passing a net.Conn with no deadline armed",
+				held: heldSlice(held),
+			})
+			break
 		}
 	}
 	if callee != "" {
@@ -727,6 +727,24 @@ func (w *walker) call(call *ast.CallExpr, held map[string]bool) {
 	for _, arg := range call.Args {
 		w.expr(arg, held)
 	}
+}
+
+// paramType returns the type argument i binds to in sig (the element
+// type for a variadic tail), or nil.
+func paramType(sig *types.Signature, i int) types.Type {
+	if sig == nil || sig.Params().Len() == 0 {
+		return nil
+	}
+	last := sig.Params().Len() - 1
+	if sig.Variadic() && i >= last {
+		if sl, ok := sig.Params().At(last).Type().(*types.Slice); ok {
+			return sl.Elem()
+		}
+	}
+	if i > last {
+		return nil
+	}
+	return sig.Params().At(i).Type()
 }
 
 // isNetSafeCall exempts non-blocking conn uses passed as arguments.
@@ -745,7 +763,8 @@ func isNetSafeCall(call *ast.CallExpr) bool {
 
 // resolveCallee returns the callee's FullName when the call target is
 // a concrete function or method in the program, "" otherwise
-// (builtins, interface methods, function values).
+// (builtins, interface methods, function values, and functions of
+// packages outside the loaded units, whose bodies are not summarized).
 func (w *walker) resolveCallee(call *ast.CallExpr) string {
 	info := w.b.u.Info
 	var obj types.Object
@@ -758,7 +777,7 @@ func (w *walker) resolveCallee(call *ast.CallExpr) string {
 		return ""
 	}
 	fn, ok := obj.(*types.Func)
-	if !ok {
+	if !ok || fn.Pkg() == nil || !w.b.inProg[fn.Pkg().Path()] {
 		return ""
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -833,8 +852,9 @@ func extend(ev *blockEv, via string) *blockEv {
 	return &blockEv{desc: ev.desc, path: path}
 }
 
-// report emits diagnostics: blocking under a lock (direct channel ops
-// and transitive closures through calls), then lock-order cycles.
+// report emits diagnostics: blocking under a lock (direct channel and
+// network operations, and transitive closures through calls), then
+// lock-order cycles.
 func report(pass *analysis.ProgramPass, sums map[string]*fnSum, order []string) {
 	edges := map[lockEdge]edgeEv{}
 	addEdge := func(from, to string, ev edgeEv) {
@@ -847,12 +867,15 @@ func report(pass *analysis.ProgramPass, sums map[string]*fnSum, order []string) 
 	for _, name := range order {
 		f := sums[name]
 		for _, b := range f.blocks {
-			// Direct network I/O under a lock is lockcheck's
-			// diagnostic; lockgraph adds the channel side.
-			if b.kind == blockChan && len(b.held) > 0 {
-				pass.Reportf(b.pos, "unbounded %s while holding %s — a stalled peer parks this goroutine inside the critical section",
-					b.desc, shortenAll(b.held))
+			if len(b.held) == 0 {
+				continue
 			}
+			desc := b.desc
+			if b.kind == blockChan {
+				desc = "unbounded " + desc
+			}
+			pass.Reportf(b.pos, "%s while holding %s — a stalled peer parks this goroutine inside the critical section",
+				desc, shortenAll(b.held))
 		}
 		for _, c := range f.calls {
 			g := sums[c.callee]

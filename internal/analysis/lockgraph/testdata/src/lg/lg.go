@@ -1,10 +1,12 @@
 // Package lg is the lockgraph fixture: lock-order cycles, recursive
 // acquisition through a helper, direct and transitive blocking under a
-// lock (including across packages, via lgdep), and every exemption —
-// with violations marked by want comments.
+// lock (including across packages, via lgdep), the deadline-under-lock
+// rule for network I/O, and every exemption — with violations marked
+// by want comments.
 package lg
 
 import (
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -20,6 +22,9 @@ type T struct {
 
 	reqs chan int
 	conn net.Conn
+
+	conns map[net.Conn]bool
+	idle  []net.Conn
 }
 
 // ab and ba take a and b in opposite orders: the classic deadlock.
@@ -105,6 +110,63 @@ func (t *T) armedRecv(buf []byte) {
 	defer t.c.Unlock()
 	t.conn.SetDeadline(time.Now().Add(time.Second))
 	lgdep.Recv(t.conn, buf)
+}
+
+// The deadline-under-lock rule, direct: network I/O while a mutex is
+// held must come after a deadline is armed, in source order.
+func (t *T) badIO(buf []byte) {
+	t.c.Lock()
+	defer t.c.Unlock()
+	t.conn.Read(buf) // want "net.Conn.Read with no deadline armed while holding lg.T.c"
+}
+
+func (t *T) goodIO(buf []byte) {
+	t.c.Lock()
+	defer t.c.Unlock()
+	t.conn.SetDeadline(time.Now().Add(time.Second))
+	t.conn.Read(buf)
+}
+
+func (t *T) unlockedIO(buf []byte) {
+	t.conn.Read(buf) // no lock held: fine
+}
+
+// Arming after the read bounds nothing: the read is already parked.
+func (t *T) readBeforeArm(buf []byte) {
+	t.c.Lock()
+	defer t.c.Unlock()
+	t.conn.Read(buf) // want "net.Conn.Read with no deadline armed while holding lg.T.c"
+	t.conn.SetDeadline(time.Now().Add(time.Second))
+}
+
+// Builtins do table bookkeeping, not I/O, whatever their arguments.
+func (t *T) connBookkeeping() {
+	t.c.Lock()
+	defer t.c.Unlock()
+	delete(t.conns, t.conn)
+	t.idle = append(t.idle, t.conn)
+}
+
+// A conn handed to code that cannot be followed into — no body in the
+// program, or a parameter that forgets it is a conn — is charged at
+// the call site; a callee that keeps the net.Conn type is summarized
+// instead, and this one does no I/O.
+func (t *T) readFullUnderLock(buf []byte) {
+	t.c.Lock()
+	defer t.c.Unlock()
+	io.ReadFull(t.conn, buf) // want "call passing a net.Conn with no deadline armed while holding lg.T.c"
+}
+
+func (t *T) widenedUnderLock(buf []byte) {
+	t.c.Lock()
+	defer t.c.Unlock()
+	lgdep.Drain(t.conn, buf) // want "call passing a net.Conn with no deadline armed while holding lg.T.c"
+}
+
+func (t *T) followedUnderLock() string {
+	t.c.Lock()
+	defer t.c.Unlock()
+	return lgdep.Peer(t.conn)
 }
 
 // A select with a default never parks.

@@ -3,7 +3,10 @@
 // package while holding a lock.
 package lgdep
 
-import "net"
+import (
+	"io"
+	"net"
+)
 
 // ch is fed by peers; receiving parks until one sends.
 var ch chan int
@@ -21,4 +24,15 @@ func Chain() {
 // Recv reads from a conn with no deadline armed.
 func Recv(c net.Conn, buf []byte) {
 	c.Read(buf)
+}
+
+// Drain reads from r; handed a conn, it is network I/O that this
+// function's own summary cannot see.
+func Drain(r io.Reader, buf []byte) {
+	r.Read(buf)
+}
+
+// Peer only names the conn's far end: no I/O.
+func Peer(c net.Conn) string {
+	return c.RemoteAddr().String()
 }

@@ -8,7 +8,6 @@ import (
 	"rmp/internal/analysis"
 	"rmp/internal/analysis/errwrap"
 	"rmp/internal/analysis/goleak"
-	"rmp/internal/analysis/lifecycle"
 	"rmp/internal/analysis/load"
 	"rmp/internal/analysis/lockcheck"
 	"rmp/internal/analysis/lockgraph"
@@ -37,7 +36,6 @@ func TestRepoClean(t *testing.T) {
 		lockcheck.Analyzer,
 		wireswitch.Analyzer,
 		errwrap.Analyzer,
-		lifecycle.Analyzer,
 	}
 	for _, pkg := range pkgs {
 		diags, err := analysis.Run(analyzers, fset, pkg.Files, pkg.Pkg, pkg.Info)

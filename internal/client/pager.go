@@ -242,7 +242,6 @@ var ErrPageLost = errors.New("client: page lost in server crash")
 // ErrNotPagedOut is returned by PageIn for a page never paged out.
 var ErrNotPagedOut = errors.New("client: page was never paged out")
 
-// remoteServer is the pager's view of one server.
 // remoteServer is the pager's view of one server. addr is immutable;
 // every mutable field is guarded by Pager.mu — the pager is the
 // paper's single paging daemon, and all server-state transitions

@@ -719,66 +719,3 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatal("pageout accepted after close")
 	}
 }
-
-func BenchmarkLivePageOutNone(b *testing.B) {
-	benchPageOut(b, client.PolicyNone, 3)
-}
-
-func BenchmarkLivePageOutMirroring(b *testing.B) {
-	benchPageOut(b, client.PolicyMirroring, 3)
-}
-
-func BenchmarkLivePageOutParityLogging(b *testing.B) {
-	benchPageOut(b, client.PolicyParityLogging, 5)
-}
-
-func benchPageOut(b *testing.B, pol client.Policy, nServers int) {
-	var srvs []*server.Server
-	var addrs []string
-	for i := 0; i < nServers; i++ {
-		s := server.New(server.Config{CapacityPages: 1 << 18})
-		if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		srvs = append(srvs, s)
-		addrs = append(addrs, s.Addr().String())
-	}
-	p, err := client.New(client.Config{Servers: addrs, Policy: pol})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	data := mkPage(1)
-	b.SetBytes(page.Size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.PageOut(page.ID(i%4096), data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLivePageRoundTrip(b *testing.B) {
-	s := server.New(server.Config{CapacityPages: 1 << 16})
-	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	c, err := client.Dial(s.Addr().String(), "bench", "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	data := mkPage(1)
-	if err := c.PageOut(1, data); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(page.Size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.PageIn(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

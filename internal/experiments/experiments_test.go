@@ -401,35 +401,6 @@ func TestFig2FaultCountsPlausible(t *testing.T) {
 	}
 }
 
-// TestPipelineLiveSpeedup: the acceptance bar for the multiplexed
-// protocol — pipelined pageouts must beat one-at-a-time pageouts on
-// the same kind of session by at least 2x when per-request service
-// time dominates, and the JSON artifact must round-trip.
-func TestPipelineLiveSpeedup(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_pipeline.json")
-	tab, stats, err := pipelineTo(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("pipeline table has %d rows, want 2", len(tab.Rows))
-	}
-	if stats.Speedup < 2 {
-		t.Fatalf("pipelined/serial speedup = %.2fx, want >= 2x\n%s", stats.Speedup, tab)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back PipelineStats
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatalf("BENCH_pipeline.json: %v", err)
-	}
-	if back.Speedup != stats.Speedup || back.Pages != stats.Pages {
-		t.Fatal("JSON artifact does not match the in-memory stats")
-	}
-}
-
 // TestRSBenchOverhead: the acceptance bar for erasure coding —
 // RS(4,2) must store at most 0.6x of what mirroring costs at the same
 // 2-crash tolerance, every policy row must be present with sane

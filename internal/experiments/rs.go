@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"rmp/internal/client"
@@ -43,6 +41,8 @@ type RSPolicyBench struct {
 
 // RSBenchStats is the machine-readable benchmark result.
 type RSBenchStats struct {
+	Env BenchEnv `json:"env"`
+
 	Pages    int             `json:"pages"`
 	Policies []RSPolicyBench `json:"policies"`
 	// RS42StorageAmp is RS(4,2)'s measured storage amplification.
@@ -100,14 +100,8 @@ func rsBenchTo(jsonPath string) (*Table, *RSBenchStats, error) {
 	stats.MirrorTol2StorageAmp = 3.0
 	stats.RS42OverMirrorTol2 = stats.RS42StorageAmp / stats.MirrorTol2StorageAmp
 
-	if jsonPath != "" {
-		blob, err := json.MarshalIndent(stats, "", "  ")
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return nil, nil, err
-		}
+	if err := writeBenchJSON(jsonPath, &stats.Env, stats); err != nil {
+		return nil, nil, err
 	}
 
 	t := &Table{

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -444,6 +442,8 @@ type ScalePoint struct {
 
 // ScaleStats is the machine-readable BENCH_scale.json payload.
 type ScaleStats struct {
+	Env BenchEnv `json:"env"`
+
 	Suite             []ScaleChaosRun `json:"suite"`
 	Sweep             []ScalePoint    `json:"sweep"`
 	MaxNodes          int             `json:"max_nodes"`
@@ -556,14 +556,8 @@ func scaleBenchTo(jsonPath string) (*Table, *ScaleStats, error) {
 		}
 	}
 
-	if jsonPath != "" {
-		blob, err := json.MarshalIndent(stats, "", "  ")
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return nil, nil, err
-		}
+	if err := writeBenchJSON(jsonPath, &stats.Env, stats); err != nil {
+		return nil, nil, err
 	}
 
 	t := &Table{

@@ -12,8 +12,12 @@ package experiments
 
 import (
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
+	"os"
+	"runtime"
 	"strings"
+	"time"
 )
 
 // Table is one experiment's output.
@@ -104,4 +108,47 @@ func ratio(a, b float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.2f", a/b)
+}
+
+// BenchEnv stamps a BENCH_*.json artifact with the machine and
+// toolchain its numbers were taken on: a committed number that does
+// not say where it came from cannot be compared with the next one.
+type BenchEnv struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu_model"`
+	Date       string `json:"date"`
+}
+
+// writeBenchJSON stamps *env — the Env field of stats — and writes
+// stats to path as indented JSON; an empty path writes nothing.
+func writeBenchJSON(path string, env *BenchEnv, stats any) error {
+	if path == "" {
+		return nil
+	}
+	*env = BenchEnv{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPU:        "unknown",
+		Date:       time.Now().UTC().Format("2006-01-02"),
+	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				env.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	blob, err := json.MarshalIndent(stats, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"rmp/internal/client"
@@ -66,6 +64,8 @@ type TierModeStats struct {
 
 // TierStats is the machine-readable benchmark result.
 type TierStats struct {
+	Env BenchEnv `json:"env"`
+
 	Hot  TierLatency `json:"pagein_hot"`
 	Cold TierLatency `json:"pagein_cold"`
 	Disk TierLatency `json:"pagein_disk"`
@@ -105,14 +105,8 @@ func tierTo(jsonPath string) (*Table, *TierStats, error) {
 	}
 	stats.Deny = *deny
 
-	if jsonPath != "" {
-		blob, err := json.MarshalIndent(stats, "", "  ")
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return nil, nil, err
-		}
+	if err := writeBenchJSON(jsonPath, &stats.Env, stats); err != nil {
+		return nil, nil, err
 	}
 
 	denyRate := func(m TierModeStats) string {

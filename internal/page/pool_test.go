@@ -145,6 +145,22 @@ func BenchmarkXORBytesRef(b *testing.B) {
 	}
 }
 
+// TestXORWordKernelSpeedup holds the word-wide kernel to its bar: at
+// least 4x the byte-loop reference on a full page, measured by the
+// two benchmarks above.
+func TestXORWordKernelSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed; skipped in -short")
+	}
+	nsPerOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+	words := nsPerOp(testing.Benchmark(BenchmarkXORWords))
+	bytesRef := nsPerOp(testing.Benchmark(BenchmarkXORBytesRef))
+	if words <= 0 || bytesRef/words < 4 {
+		t.Errorf("word XOR kernel is %.2fx the byte loop, want >= 4x (words %.0f ns/page, bytes %.0f ns/page)",
+			bytesRef/words, words, bytesRef)
+	}
+}
+
 func BenchmarkPooledGetPut(b *testing.B) {
 	Put(Get())
 	b.ReportAllocs()
