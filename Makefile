@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run 'Fuzz' -fuzz FuzzDecode -fuzztime 20s
 	$(GO) test ./internal/wire/ -run 'Fuzz' -fuzz FuzzRoundTrip -fuzztime 20s
 	$(GO) test ./internal/wire/ -run 'Fuzz' -fuzz FuzzStreamDemux -fuzztime 20s
+	$(GO) test ./internal/wire/ -run 'Fuzz' -fuzz FuzzFrameReader -fuzztime 20s
 	$(GO) test ./internal/chaos/ -run 'Fuzz' -fuzz FuzzSchedule -fuzztime 20s
 
 clean:

@@ -7,8 +7,9 @@
 //
 // This file holds Conn, the low-level request channel to one server.
 // Conn is safe for concurrent use. After the HELLO handshake it is a
-// multiplexer: a writer goroutine batches outbound tagged frames, a
-// reader goroutine demuxes acks to per-request channels by id, so many
+// multiplexer: a caller writes its own tagged request (and whatever
+// other callers queued meanwhile) under the write lock, a reader
+// goroutine demuxes acks to per-request channels by id, so many
 // requests are in flight on one connection and a late or timed-out ack
 // is discarded by id instead of poisoning the stream.
 package client
@@ -37,9 +38,10 @@ type Conn struct {
 	// immutable afterwards.
 	dl Deadlines
 
-	// sendCh feeds the writer goroutine. Created by the dial;
-	// immutable afterwards.
-	sendCh chan *wire.Msg
+	// w is the shared write half: callers queue their request frames
+	// into it and flush them themselves under its write lock. Created
+	// by the dial; immutable afterwards.
+	w *wire.ConnWriter
 	// done is closed exactly once when the mux dies (transport error
 	// or Close); it unblocks every waiter. Created by the dial;
 	// immutable afterwards.
@@ -181,8 +183,9 @@ func Dial(addr, clientName, token string) (*Conn, error) {
 // DialWithOptions is the full-control dial: transport establishment
 // bound, deadline parameters and an injectable transport. The
 // handshake is two untagged frames — a HELLO carrying FlagV2 and the
-// HELLO_ACK echoing it — after which every frame is tagged and the mux
-// goroutines own the stream. A server that does not echo the flag does
+// HELLO_ACK echoing it — after which every frame is tagged, callers
+// write through the shared ConnWriter and the reader goroutine owns the
+// inbound stream. A server that does not echo the flag does
 // not speak this protocol and the dial fails.
 func DialWithOptions(addr, clientName, token string, opts DialOptions) (*Conn, error) {
 	timeout := opts.Timeout
@@ -199,11 +202,12 @@ func DialWithOptions(addr, clientName, token string, opts DialOptions) (*Conn, e
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
+	dl := opts.Deadlines.withDefaults()
 	c := &Conn{
 		conn:    nc,
 		addr:    addr,
-		dl:      opts.Deadlines.withDefaults(),
-		sendCh:  make(chan *wire.Msg, muxSendBuf),
+		dl:      dl,
+		w:       wire.NewConnWriter(nc, dl.PerByte, nil),
 		done:    make(chan struct{}),
 		pending: make(map[uint32]chan *wire.Msg),
 	}
@@ -211,7 +215,6 @@ func DialWithOptions(addr, clientName, token string, opts DialOptions) (*Conn, e
 		nc.Close()
 		return nil, fmt.Errorf("client: hello %s: %w", addr, err)
 	}
-	go c.writeLoop()
 	go c.readLoop()
 	return c, nil
 }
@@ -319,7 +322,7 @@ func (c *Conn) observeRTT(sample int64) {
 // the adaptive deadline, folding the measured service time into the
 // RTT estimate.
 func (c *Conn) roundTrip(req *wire.Msg) (*wire.Msg, error) {
-	return c.muxRoundTrip(req, c.requestDeadline(reqPayloadBytes(req)), true)
+	return c.muxRoundTrip(req, c.requestDeadline(0), true)
 }
 
 // latchFlags records advisory flags carried on any ack.
@@ -336,11 +339,6 @@ func (c *Conn) latchFlags(flags uint8) {
 	}
 	c.pressureMu.Unlock()
 }
-
-// muxSendBuf is the depth of the writer goroutine's inbox. It only
-// smooths bursts; a full inbox applies backpressure to callers, whose
-// per-request deadlines still bound the wait.
-const muxSendBuf = 128
 
 // failMux records the first fatal error, closes the transport, and
 // wakes every in-flight request. Idempotent; safe from any goroutine.
@@ -369,58 +367,20 @@ func (c *Conn) muxError() error {
 	return fmt.Errorf("%w: %s: %w", errMuxClosed, c.addr, err)
 }
 
-// writeLoop drains the send channel onto the wire, batching every
-// frame already queued into one vectored flush: the FrameWriter
-// encodes only headers into scratch and ships header + payload (for
-// the whole batch) through one writev, so a burst of pipelined
-// pageouts leaves as a single scatter/gather write with the page
-// bytes never copied. A queued request's Data is referenced until the
-// flush completes — safe, because the requester blocks on its ack
-// (and so cannot reuse the buffer) for at least that long. The loop
-// exits when the mux dies; a blocked write is unblocked by failMux
-// closing the transport.
-func (c *Conn) writeLoop() {
-	fw := wire.NewFrameWriter(c.conn)
-	for {
-		select {
-		case m := <-c.sendCh:
-			if err := fw.Queue(m); err != nil {
-				c.failMux(err)
-				return
-			}
-			for batched := true; batched; {
-				select {
-				case m2 := <-c.sendCh:
-					if err := fw.Queue(m2); err != nil {
-						c.failMux(err)
-						return
-					}
-				default:
-					batched = false
-				}
-			}
-			if err := fw.Flush(); err != nil {
-				c.failMux(err)
-				return
-			}
-		case <-c.done:
-			return
-		}
-	}
-}
-
 // readLoop decodes acks off the wire and resolves them against the
-// demux table by id. Frames decode into pooled buffers (DecodePooled)
-// and are recycled by whoever consumes the ack — the Conn method that
-// unblocks, or dispatch itself for late acks — so a steady-state ack
-// stream allocates nothing. An ack with no pending entry (the late
-// reply to a timed-out, abandoned request) is counted, recycled, and
-// dropped; the stream stays framed and every other in-flight request
-// is unaffected. The loop exits on the first decode error (including
-// the transport close performed by failMux).
+// demux table by id. Its FrameReader takes a whole ack — and, under
+// pipelining, as many more as have arrived — per Read; frames decode in
+// place in pooled buffers and are recycled by whoever consumes the ack
+// — the Conn method that unblocks, or dispatch itself for late acks —
+// so a steady-state ack stream allocates nothing. An ack with no
+// pending entry (the late reply to a timed-out, abandoned request) is
+// counted, recycled, and dropped; the stream stays framed and every
+// other in-flight request is unaffected. The loop exits on the first
+// decode error (including the transport close performed by failMux).
 func (c *Conn) readLoop() {
+	fr := wire.NewFrameReader(c.conn)
 	for {
-		m, err := wire.DecodePooled(c.conn)
+		m, err := fr.Next()
 		if err != nil {
 			c.failMux(err)
 			return
@@ -466,12 +426,51 @@ type call struct {
 	typ wire.Type
 }
 
+// waiter is what a single round trip waits on: the channel its ack
+// arrives on and the timer that bounds the wait. Both are reusable once
+// the round trip is over — the channel is empty (the ack was received,
+// or abandon drained it after unregistering the id) and the timer is
+// stopped and drained — so waiters are pooled and a round trip
+// allocates neither.
+type waiter struct {
+	ch    chan *wire.Msg
+	timer *time.Timer
+}
+
+var waiterPool = sync.Pool{New: newWaiter}
+
+func newWaiter() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan *wire.Msg, 1), timer: t}
+}
+
+// getWaiter returns a waiter whose timer fires after d.
+func getWaiter(d time.Duration) *waiter {
+	w := waiterPool.Get().(*waiter)
+	w.timer.Reset(d)
+	return w
+}
+
+// putWaiter stops w's timer, discards an expiry nobody received, and
+// pools w. Only the round trip that got w receives from its timer, and
+// it has finished.
+func putWaiter(w *waiter) {
+	if !w.timer.Stop() {
+		select {
+		case <-w.timer.C:
+		default:
+		}
+	}
+	waiterPool.Put(w)
+}
+
 // enqueue allocates a request id, stamps req as a tagged frame,
-// installs its reply channel in the demux table and hands req to the
-// writer. timer bounds the wait for room in the writer's inbox; d is
-// its duration, for the error text.
-func (c *Conn) enqueue(req *wire.Msg, timer *time.Timer, d time.Duration) (call, error) {
-	cl := call{ch: make(chan *wire.Msg, 1), typ: req.Type}
+// installs ch in the demux table and queues the frame on the shared
+// writer. It does no I/O: the caller flushes. req is not retained, only
+// req.Data is referenced, until that flush returns.
+func (c *Conn) enqueue(req *wire.Msg, ch chan *wire.Msg) (call, error) {
+	cl := call{ch: ch, typ: req.Type}
 	c.muxMu.Lock()
 	if c.muxErr != nil {
 		c.muxMu.Unlock()
@@ -488,16 +487,29 @@ func (c *Conn) enqueue(req *wire.Msg, timer *time.Timer, d time.Duration) (call,
 	c.muxMu.Unlock()
 	req.Version = wire.Version2
 	req.ID = cl.id
-	select {
-	case c.sendCh <- req:
-		return cl, nil
-	case <-c.done:
+	if err := c.w.Queue(req); err != nil {
 		c.abandon(cl)
-		return call{}, c.muxError()
-	case <-timer.C:
-		c.abandon(cl)
-		return call{}, c.timeoutError(d)
+		return call{}, err
 	}
+	return cl, nil
+}
+
+// flush writes every queued request — the caller's and any that other
+// callers queued meanwhile — under a write deadline of base plus the
+// per-byte allowance, so a peer that stopped reading costs the caller a
+// bounded wait. A failed write leaves a frame half sent: the session is
+// dead, and a missed deadline is reported as ErrReqTimeout so the retry
+// layer counts it.
+func (c *Conn) flush(base time.Duration) error {
+	err := c.w.Flush(base)
+	if err == nil {
+		return nil
+	}
+	c.failMux(err)
+	if isTimeoutErr(err) {
+		return fmt.Errorf("%w: write to %s blocked for %v", ErrReqTimeout, c.addr, base)
+	}
+	return c.muxError()
 }
 
 // await waits for cl's ack until timer fires or the mux dies. A miss
@@ -545,17 +557,25 @@ func (c *Conn) timeoutError(d time.Duration) error {
 	return fmt.Errorf("%w: no ack from %s within %v", ErrReqTimeout, c.addr, d)
 }
 
-// muxRoundTrip issues one tagged request and waits for its ack under
-// deadline d.
-func (c *Conn) muxRoundTrip(req *wire.Msg, d time.Duration, sampleRTT bool) (*wire.Msg, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+// muxRoundTrip issues one tagged request — written by this goroutine,
+// not handed to another — and waits for its ack. The round trip is
+// bounded by base plus the per-byte allowance over the payload it moves
+// in both directions; the write alone by base plus the allowance over
+// what it writes.
+func (c *Conn) muxRoundTrip(req *wire.Msg, base time.Duration, sampleRTT bool) (*wire.Msg, error) {
+	d := base + time.Duration(reqPayloadBytes(req))*c.dl.PerByte
+	w := getWaiter(d)
+	defer putWaiter(w)
 	start := time.Now()
-	cl, err := c.enqueue(req, timer, d)
+	cl, err := c.enqueue(req, w.ch)
 	if err != nil {
 		return nil, err
 	}
-	ack, err := c.await(cl, timer, d)
+	if err := c.flush(base); err != nil {
+		c.abandon(cl)
+		return nil, err
+	}
+	ack, err := c.await(cl, w.timer, d)
 	if err == nil && sampleRTT {
 		c.observeRTT(time.Since(start).Nanoseconds())
 	}
@@ -667,10 +687,10 @@ func (c *Conn) PageIn(key uint64) (page.Buf, error) {
 }
 
 // PageOutBatch stores several pages in one pipelined exchange: every
-// request is registered and enqueued up front, then the acks are
-// collected under one shared deadline. On a network with real latency
-// this costs ~one round trip for the whole batch instead of one per
-// page (used by bulk paths like recovery re-homing and VM flushes).
+// request is registered and queued up front and flushed once, then the
+// acks are collected under one shared deadline. On a network with real
+// latency this costs ~one round trip for the whole batch instead of one
+// per page (used by bulk paths like recovery re-homing and VM flushes).
 // Returns the first failed status after collecting every ack; a
 // deadline miss or a mistyped ack abandons the unanswered requests and
 // leaves the connection healthy.
@@ -688,19 +708,30 @@ func (c *Conn) PageOutBatch(keys []uint64, pages []page.Buf) error {
 	}
 	// The whole batch shares one deadline: the per-request estimate
 	// plus the per-byte allowance over every page in flight.
-	d := c.requestDeadline(len(keys) * page.Size)
+	base := c.requestDeadline(0)
+	d := base + time.Duration(len(keys)*page.Size)*c.dl.PerByte
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	start := time.Now()
 	calls := make([]call, 0, len(keys))
+	var err error
 	for i, key := range keys {
 		req := (&wire.Msg{Type: wire.TPageOut, Key: key, Data: pages[i]}).WithChecksum()
-		cl, err := c.enqueue(req, timer, d)
-		if err != nil {
-			c.abandon(calls...)
-			return err
+		var cl call
+		if cl, err = c.enqueue(req, make(chan *wire.Msg, 1)); err != nil {
+			break
 		}
 		calls = append(calls, cl)
+	}
+	// The whole batch leaves in one vectored write — also the part of a
+	// batch that failed to queue in full: queued frames reference the
+	// caller's pages until a flush has seen them off.
+	if ferr := c.flush(base); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		c.abandon(calls...)
+		return err
 	}
 	var firstErr error
 	for i, cl := range calls {

@@ -499,3 +499,101 @@ func TestMuxRequestsFailFastOnDeadConn(t *testing.T) {
 		t.Fatal("in-flight request not released by Close")
 	}
 }
+
+// deafPeer accepts one TCP connection, completes the handshake and
+// never reads again: the wedged process whose socket stays open. The
+// returned dial hook shrinks the client's send buffer the way the peer
+// shrinks its receive buffer, and hands the test the raw connection.
+func deafPeer(t *testing.T) (addr string, dial client.DialFunc, raw func() net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.(*net.TCPConn).SetReadBuffer(4096)
+		hello, err := wire.DecodePooled(conn)
+		if err != nil {
+			return
+		}
+		wire.Recycle(hello)
+		wire.Encode(conn, &wire.Msg{Type: wire.THelloAck, Flags: wire.FlagV2, N: 1 << 20})
+	}()
+	t.Cleanup(func() { ln.Close(); <-done })
+	var nc net.Conn
+	dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		c, err := net.DialTimeout("tcp", addr, timeout)
+		if err == nil {
+			c.(*net.TCPConn).SetWriteBuffer(4096)
+			nc = c
+		}
+		return c, err
+	}
+	return ln.Addr().String(), dial, func() net.Conn { return nc }
+}
+
+// TestWedgedPeerBoundedByWriteDeadline: callers write their own frames,
+// so a peer that stops reading must cost the caller whose write fills
+// the socket a bounded timeout — the armed write deadline, there being
+// no writer goroutine to absorb the block — and the connection, left
+// with half a frame on it, must report Broken. Over real loopback TCP:
+// socket buffers are what this is about.
+func TestWedgedPeerBoundedByWriteDeadline(t *testing.T) {
+	deadlines := client.Deadlines{Floor: 100 * time.Millisecond, Ceil: 100 * time.Millisecond, PerByte: time.Nanosecond}
+	data := mkPage(3)
+	for name, wedge := range map[string]func(*testing.T, *client.Conn, net.Conn) error{
+		// 32 MB in one batch: the write itself outgrows the buffers.
+		"batch": func(t *testing.T, c *client.Conn, _ net.Conn) error {
+			keys := make([]uint64, 4096)
+			pages := make([]page.Buf, len(keys))
+			for i := range keys {
+				keys[i], pages[i] = uint64(i), data
+			}
+			return c.PageOutBatch(keys, pages)
+		},
+		// The buffers are already full when one pageout arrives.
+		"single": func(t *testing.T, c *client.Conn, raw net.Conn) error {
+			junk := make([]byte, 1<<20)
+			raw.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
+			for {
+				if _, err := raw.Write(junk); err != nil {
+					break
+				}
+			}
+			return c.PageOut(1, data)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			addr, dial, raw := deafPeer(t)
+			c, err := client.DialWithOptions(addr, "wedge-test", "", client.DialOptions{Dial: dial, Deadlines: deadlines})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			// The deadline the conn quotes for the largest of these
+			// requests, before the wedge skews anything.
+			bound := c.RequestDeadline(4096 * page.Size)
+			start := time.Now()
+			err = wedge(t, c, raw())
+			if !errors.Is(err, client.ErrReqTimeout) {
+				t.Fatalf("got %v, want ErrReqTimeout", err)
+			}
+			if el := time.Since(start); el > bound+time.Second {
+				t.Fatalf("took %v against a request deadline of %v", el, bound)
+			}
+			if !c.Broken() {
+				t.Fatal("connection with a half-written frame on it does not report Broken")
+			}
+			if err := c.PageOut(2, data); err == nil || errors.Is(err, client.ErrReqTimeout) {
+				t.Fatalf("pageout on the broken connection: got %v, want a prompt connection error", err)
+			}
+		})
+	}
+}

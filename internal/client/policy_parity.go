@@ -321,13 +321,14 @@ func (pp *parityPolicy) repairGroup(g *parityGroup) {
 	}
 	oldKey := g.parityKey
 	g.parityKey = p.allocKey()
-	if err := p.sendPage(pp.parityIdx, g.parityKey, parityPage, true); err != nil {
-		// A failed (possibly timed-out) send may still be queued on the
-		// write loop; the buffer leaks to the GC instead of the pool.
+	// The send wrote the frame itself: once it returns, acked or not,
+	// nothing references the buffer.
+	err := p.sendPage(pp.parityIdx, g.parityKey, parityPage, true)
+	page.Put(parityPage)
+	if err != nil {
 		g.parityKey = oldKey
 		return
 	}
-	page.Put(parityPage)
 	g.stale = false
 	p.freeSlots(pp.parityIdx, oldKey)
 }
@@ -358,9 +359,10 @@ func (pp *parityPolicy) free(id page.ID) error {
 	xoredOut := false
 	if p.servers[home.srv].alive {
 		zero := page.GetZero()
-		if err := pp.xorWrite(home.srv, home.key, zero, g, false); err == nil {
+		err := pp.xorWrite(home.srv, home.key, zero, g, false)
+		page.Put(zero) // the write has returned: nothing references it
+		if err == nil {
 			p.freeSlots(home.srv, home.key)
-			page.Put(zero) // acked: the write loop no longer references it
 			xoredOut = true
 		} else if now, ok := pp.homes[id]; !ok || now != home {
 			// The home died under the write and its crash handler re-homed

@@ -175,6 +175,10 @@ type Server struct {
 type parityConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+	// fw and fr frame the link: one delta out through a vectored write,
+	// one ack in. Guarded by mu.
+	fw *wire.FrameWriter
+	fr *wire.FrameReader
 	// nextID is the id of the last delta sent; the ack must echo it.
 	// Guarded by mu.
 	nextID uint32
@@ -201,6 +205,11 @@ type clientNS struct {
 type session struct {
 	name string
 	ns   *clientNS
+	conn net.Conn
+	// w is the session's reply writer, shared by its workers: whoever
+	// finishes a request queues the ack and flushes it, together with
+	// any acks queued meanwhile, under the write lock.
+	w *wire.ConnWriter
 }
 
 // New creates a server with the given configuration.
@@ -492,22 +501,31 @@ func (s *Server) detach(sess *session) {
 }
 
 // maxSessionInflight bounds how many requests one session services
-// concurrently. It backpressures a runaway pipeline without stalling
-// the read loop in the common case, and caps the reply queue so a
-// slow consumer bounds its own memory.
+// concurrently: the session's workers. It backpressures a runaway
+// pipeline without stalling the read loop in the common case.
 const maxSessionInflight = 64
+
+// replyIOTimeout bounds one flush of replies, which runs while the
+// session's write lock is held: a client that stopped reading costs
+// its own session a timeout and a closed connection, never a parked
+// worker.
+const replyIOTimeout = 5 * time.Second
 
 // serveConn runs one session. The handshake is two untagged frames:
 // the first frame must be a HELLO with a valid token and FlagV2, and
 // the HELLO_ACK echoes the flag. From then on every frame is tagged:
-// the read loop decodes requests and dispatches them to a bounded pool
-// of handler goroutines, replies funnel through a writer goroutine
-// that batches them onto the wire, and XORWRITE/XORDELTA are routed to
-// a dedicated FIFO worker so their read-modify-write cycles on this
-// client's namespace apply in arrival order (the pager pipelines
-// parity traffic for distinct pages, but deltas for the same parity
-// page must not race each other out of order — see PROTOCOL.md).
-// Everything else may reorder freely; the client matches acks by id.
+// the read loop takes whole requests off the wire (one Read each, or
+// several requests per Read under pipelining) and hands each to an idle
+// session worker, starting another — up to maxSessionInflight — only
+// when all are busy, so a slow request never holds up the one behind
+// it while a closed loop of requests runs on one warm goroutine. A
+// worker answers on the connection itself, under the session's write
+// lock. XORWRITE/XORDELTA are routed to a dedicated FIFO worker so
+// their read-modify-write cycles on this client's namespace apply in
+// arrival order (the pager pipelines parity traffic for distinct pages,
+// but deltas for the same parity page must not race each other out of
+// order — see PROTOCOL.md). Everything else may reorder freely; the
+// client matches acks by id.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -516,7 +534,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	m, err := wire.DecodePooled(conn)
+	fr := wire.NewFrameReader(conn)
+	defer fr.Release()
+	m, err := fr.Next()
 	if err != nil {
 		return
 	}
@@ -543,6 +563,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	sess := s.attach(name)
 	defer s.detach(sess)
+	sess.conn = conn
+	sess.w = wire.NewConnWriter(conn, 0, releaseReply)
 	helloAck := &wire.Msg{Type: wire.THelloAck, Flags: wire.FlagV2, N: uint32(s.store.Free())}
 	s.stampFlags(helloAck)
 	if err := wire.Encode(conn, helloAck); err != nil {
@@ -550,12 +572,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	s.logf("%s: client %q connected (ns %d)", s.cfg.Name, sess.name, sess.ns.tag)
 
-	out := make(chan *wire.Msg, maxSessionInflight)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		s.writeReplies(conn, out)
-	}()
+	// work hands a request to an idle worker; unbuffered, so a send
+	// that would block means every worker is busy.
+	work := make(chan *wire.Msg)
 	xorCh := make(chan *wire.Msg, maxSessionInflight)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -563,15 +582,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		defer wg.Done()
 		// FIFO ordering domain: one worker, channel arrival order.
 		for m := range xorCh {
-			out <- s.respond(sess, m)
-			wire.Recycle(m)
+			s.answer(sess, m)
 		}
 	}()
-	sem := make(chan struct{}, maxSessionInflight)
-	sawBye := false
+	workers := 0
 	var bye *wire.Msg
-	for !sawBye {
-		m, err := wire.DecodePooled(conn)
+	for bye == nil {
+		m, err := fr.Next()
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.logf("%s: client %q read: %v", s.cfg.Name, sess.name, err)
@@ -584,91 +601,64 @@ func (s *Server) serveConn(conn net.Conn) {
 		case wire.TBye:
 			// Quiesce: stop reading, let in-flight requests finish,
 			// then answer the BYE last so the client sees every ack.
-			sawBye, bye = true, m
+			bye = m
 		default:
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(m *wire.Msg) {
-				defer func() { <-sem; wg.Done() }()
-				out <- s.respond(sess, m)
-				wire.Recycle(m)
-			}(m)
+			select {
+			case work <- m:
+			default:
+				if workers == maxSessionInflight {
+					work <- m
+					break
+				}
+				workers++
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s.answer(sess, m)
+					for m := range work {
+						s.answer(sess, m)
+					}
+				}()
+			}
 		}
 	}
 	close(xorCh)
+	close(work)
 	wg.Wait()
-	if sawBye {
-		out <- s.respond(sess, bye)
-		wire.Recycle(bye)
+	if bye != nil {
+		s.answer(sess, bye)
 	}
-	close(out)
-	<-writerDone
 }
 
-// respond services one request and tags the ack with the request's
-// id and advisory flags. When it returns, nothing retains the request
-// or its payload (handlers copy what they store), so callers recycle
-// m afterwards.
-func (s *Server) respond(sess *session, m *wire.Msg) *wire.Msg {
+// answer services one request and sends its ack, tagged with the
+// request's id and the advisory flags. Nothing retains the request or
+// its payload once the handler returns (handlers copy what they
+// store), so it is recycled before the reply is written. The ack — its
+// Msg and its Data, both pooled — goes back only after the flush that
+// shipped it, honoring the FrameWriter aliasing contract; that flush
+// may be another worker's. A reply that cannot be written ends the
+// session: closing the connection fails the read loop, which winds the
+// workers down.
+func (s *Server) answer(sess *session, m *wire.Msg) {
 	resp := s.handle(sess, m)
 	resp.Version = wire.Version2
 	resp.ID = m.ID
 	s.stampFlags(resp)
-	return resp
+	wire.Recycle(m)
+	if err := sess.w.QueueOwned(resp); err != nil {
+		releaseReply(resp)
+		sess.conn.Close()
+		return
+	}
+	if sess.w.Flush(replyIOTimeout) != nil {
+		sess.conn.Close()
+	}
 }
 
-// writeReplies drains the reply channel onto the wire, batching every
-// queued reply into one vectored write (writev on TCP): the
-// FrameWriter queues head encodings and references each ack's Data in
-// place, so an 8 KB PAGEIN payload is never copied into scratch. Acks
-// are recycled — payload to the page pool, frame to the Msg pool —
-// only after the flush that shipped them, honoring the FrameWriter
-// aliasing contract. After a write error it keeps draining
-// (discarding, still recycling) so no handler ever blocks on a dead
-// connection; the read loop sees the same broken conn and winds the
-// session down.
-func (s *Server) writeReplies(conn net.Conn, out chan *wire.Msg) {
-	fw := wire.NewFrameWriter(conn)
-	broken := false
-	batch := make([]*wire.Msg, 0, maxSessionInflight)
-	recycle := func() {
-		for i, m := range batch {
-			page.Put(m.Data)
-			wire.Recycle(m)
-			batch[i] = nil
-		}
-		batch = batch[:0]
-	}
-	for m := range out {
-		if broken {
-			page.Put(m.Data)
-			wire.Recycle(m)
-			continue
-		}
-		if err := fw.Queue(m); err != nil {
-			broken = true
-		}
-		batch = append(batch, m)
-		for batching := true; batching && !broken; {
-			select {
-			case m2, ok := <-out:
-				if !ok {
-					batching = false
-					break
-				}
-				if err := fw.Queue(m2); err != nil {
-					broken = true
-				}
-				batch = append(batch, m2)
-			default:
-				batching = false
-			}
-		}
-		if !broken && fw.Flush() != nil {
-			broken = true
-		}
-		recycle()
-	}
+// releaseReply returns a sent ack and its payload to their pools.
+func releaseReply(m *wire.Msg) {
+	page.Put(m.Data)
+	wire.Recycle(m)
 }
 
 // stampFlags adds the pressure and drain advisories to a reply.
@@ -687,7 +677,8 @@ func nsKey(tag uint16, key uint64) uint64 { return uint64(tag)<<keyBits | (key &
 // handle services one request and builds the acknowledgement.
 func (s *Server) handle(sess *session, m *wire.Msg) *wire.Msg {
 	tag := sess.ns.tag
-	ack := &wire.Msg{Type: m.Type.Ack(), Key: m.Key}
+	ack := wire.GetMsg()
+	ack.Type, ack.Key = m.Type.Ack(), m.Key
 	switch m.Type {
 	case wire.TAlloc:
 		// Draining always denies. Pressure denies only when there is
@@ -911,10 +902,12 @@ func (s *Server) forwardDelta(addr, clientName string, parityKey uint64, delta p
 	defer pc.conn.SetDeadline(time.Time{})
 	pc.nextID++
 	req := (&wire.Msg{Type: wire.TXorDelta, Version: wire.Version2, ID: pc.nextID, Key: parityKey, Data: delta}).WithChecksum()
-	err = wire.Encode(pc.conn, req)
+	if err = pc.fw.Queue(req); err == nil {
+		err = pc.fw.Flush()
+	}
 	var ack *wire.Msg
 	if err == nil {
-		ack, err = wire.DecodePooled(pc.conn)
+		ack, err = pc.fr.Next()
 	}
 	if err == nil && (ack.Type != wire.TXorDeltaAck || ack.ID != req.ID) {
 		err = fmt.Errorf("server: parity peer %s sent %v id %d in reply to XORDELTA id %d", addr, ack.Type, ack.ID, req.ID)
@@ -924,6 +917,7 @@ func (s *Server) forwardDelta(addr, clientName string, parityKey uint64, delta p
 		// to this delta: the link can no longer be trusted to pair
 		// acks with deltas.
 		wire.Recycle(ack)
+		pc.fr.Release()
 		s.invalidateParityConn(cacheKey, pc)
 		return err
 	}
@@ -961,7 +955,7 @@ func (s *Server) parityConnFor(cacheKey, addr, clientName string) (*parityConn, 
 		return nil, fmt.Errorf("server: parity peer %s: %w", addr, err)
 	}
 	wire.Recycle(ack)
-	pc = &parityConn{conn: conn}
+	pc = &parityConn{conn: conn, fw: wire.NewFrameWriter(conn), fr: wire.NewFrameReader(conn)}
 	s.parityMu.Lock()
 	if existing, ok := s.parityConns[cacheKey]; ok {
 		s.parityMu.Unlock()

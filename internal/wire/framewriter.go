@@ -1,6 +1,6 @@
-// FrameWriter is the zero-copy batching half of the wire codec: the
-// mux write loops queue frames as (head bytes, payload reference)
-// pairs and flush them through one vectored write. Payload bytes are
+// FrameWriter is the zero-copy batching half of the wire codec:
+// senders queue frames as (head bytes, payload reference) pairs and
+// flush them through one vectored write. Payload bytes are
 // never copied into scratch — the writev vector points straight at
 // the caller's page buffers — which is what keeps an 8 KB pageout at
 // "one header encode plus one syscall" instead of "one full frame
@@ -38,10 +38,11 @@ type BuffersWriter interface {
 // the writer holds no references and queued payloads may be reused or
 // pooled.
 //
-// Not safe for concurrent use; each write loop owns one FrameWriter.
+// Not safe for concurrent use: a FrameWriter has one owner, or sits
+// behind a ConnWriter's locks. The zero value is a FrameWriter with no
+// writer of its own, flushed with FlushTo.
 type FrameWriter struct {
-	w  io.Writer
-	bw BuffersWriter // non-nil when w implements the vectored hook
+	w io.Writer
 
 	heads []byte   // concatenated head encodings of queued frames
 	ends  []int    // heads end offset per queued frame
@@ -58,11 +59,7 @@ type FrameWriter struct {
 }
 
 // NewFrameWriter returns a FrameWriter batching onto w.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	fw := &FrameWriter{w: w}
-	fw.bw, _ = w.(BuffersWriter)
-	return fw
-}
+func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 
 // Queue encodes m's frame head and records its payload for the next
 // Flush. m.Data is referenced, not copied — see the aliasing note on
@@ -88,13 +85,20 @@ func (fw *FrameWriter) Frames() int { return len(fw.ends) }
 // Buffered reports the total queued bytes (heads plus payloads).
 func (fw *FrameWriter) Buffered() int { return fw.buffered }
 
-// Flush writes every queued frame in one vectored write and drops all
-// payload references. A short write or transport error is returned
-// as-is; the batch is discarded either way (the mux treats any write
-// error as fatal to the conn). Flushing an empty writer is a no-op.
+// Flush writes every queued frame to the writer given to
+// NewFrameWriter; see FlushTo.
 //
 //rmpvet:hotpath
-func (fw *FrameWriter) Flush() error {
+func (fw *FrameWriter) Flush() error { return fw.FlushTo(fw.w) }
+
+// FlushTo writes every queued frame to w in one vectored write and
+// drops all payload references. A short write or transport error is
+// returned as-is; the batch is discarded either way (the mux treats
+// any write error as fatal to the conn). Flushing an empty writer is a
+// no-op.
+//
+//rmpvet:hotpath
+func (fw *FrameWriter) FlushTo(w io.Writer) error {
 	if len(fw.ends) == 0 {
 		return nil
 	}
@@ -111,10 +115,10 @@ func (fw *FrameWriter) Flush() error {
 	// nil-ing written elements in the shared backing as they go.
 	fw.wvec = fw.vecs
 	var err error
-	if fw.bw != nil {
-		_, err = fw.bw.WriteBuffers(&fw.wvec)
+	if bw, ok := w.(BuffersWriter); ok {
+		_, err = bw.WriteBuffers(&fw.wvec)
 	} else {
-		_, err = fw.wvec.WriteTo(fw.w)
+		_, err = fw.wvec.WriteTo(w)
 	}
 	// Drop every payload reference, including any an error path left
 	// unconsumed, so pooled page buffers are not retained past Flush.

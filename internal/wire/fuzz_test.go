@@ -10,7 +10,7 @@ import (
 )
 
 // decodeRef is the reference decoder the fuzz targets hold
-// DecodePooled to: one frame from r, untagged or tagged, into a fresh
+// DecodePooled and FrameReader to: one frame from r, untagged or tagged, into a fresh
 // payload buffer and a fresh Msg — ordinary garbage-collected memory,
 // nothing pooled. It was the package's original decoder (wire.Decode);
 // no production code needs it any more.
@@ -251,25 +251,23 @@ func FuzzStreamDemux(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		pending := map[uint32]bool{1: true, 2: true, 3: true}
-		// The mux read loop decodes through the pool: run the pooled
-		// decoder on the stream, with the plain decoder shadowing it on
-		// an identical reader. Recycling between frames means every
-		// iteration likely reuses the previous frame's buffer — any
-		// cross-frame byte leak shows up as a divergence.
-		r := bytes.NewReader(raw)
+		// The mux read loop decodes through one FrameReader: run it on
+		// the stream, with the plain decoder shadowing it on an identical
+		// reader. Recycling between frames means every iteration likely
+		// reuses the previous frame's buffer, and the reader carries its
+		// read-ahead from frame to frame — any cross-frame byte leak
+		// shows up as a divergence.
+		fr := NewFrameReader(bytes.NewReader(raw))
+		defer fr.Release()
 		shadow := bytes.NewReader(raw)
 		for i := 0; i < 1024; i++ {
-			before := r.Len()
-			m, err := DecodePooled(r)
+			m, err := fr.Next()
 			sm, serr := decodeRef(shadow)
 			if (err == nil) != (serr == nil) {
 				t.Fatalf("frame %d: pooled err=%v plain err=%v", i, err, serr)
 			}
 			if err != nil {
 				return // stream broken: the mux fails the conn here
-			}
-			if r.Len() == before {
-				t.Fatal("decode consumed no bytes but returned a frame")
 			}
 			if !sameMsg(m, sm) {
 				t.Fatalf("frame %d: pooled decode diverges (buffer reuse leak?)\n plain  %+v\n pooled %+v", i, sm, m)

@@ -70,8 +70,8 @@ const (
 )
 
 // A whole frame — header, request id, maximum payload — must fit in
-// one frame-class pool buffer, so DecodePooled can read an entire
-// frame into pooled memory. Compile-time assertion: the array length
+// one frame-class pool buffer, so a FrameReader can hold an entire
+// frame in pooled memory. Compile-time assertion: the array length
 // below is negative (a compile error) if the invariant breaks.
 var _ [page.FrameClass - (headerLen + idLen + MaxPayload)]struct{}
 
@@ -222,7 +222,7 @@ type Msg struct {
 	Status Status
 
 	// Version selects the frame encoding: 0 or Version encode an
-	// untagged frame, Version2 a tagged one. DecodePooled records the
+	// untagged frame, Version2 a tagged one. A FrameReader records the
 	// version it actually read, so a decoded frame re-encodes
 	// identically.
 	Version uint8
@@ -249,8 +249,8 @@ type Msg struct {
 	Data []byte
 
 	// payload is the pooled frame buffer backing Data when the message
-	// came from DecodePooled; Recycle returns it to the page pool. Nil
-	// for messages built by hand.
+	// came from a FrameReader; Recycle returns it to the page pool. Nil
+	// for messages built by hand and for decoded frames without Data.
 	payload []byte
 }
 
@@ -386,86 +386,22 @@ func AppendFrameHead(dst []byte, m *Msg) ([]byte, error) {
 	return dst, nil
 }
 
-// msgPool recycles Msg structs through DecodePooled/Recycle. Like the
-// page pools, its New lives at package level so the escapegate
-// attributes the inherent allocation here, not to the hotpath decode.
+// msgPool recycles Msg structs through FrameReader.Next, GetMsg and
+// Recycle. Like the page pools, its New lives at package level so the
+// escapegate attributes the inherent allocation here, not to the
+// hotpath decode.
 var msgPool = sync.Pool{New: newPooledMsg}
 
 func newPooledMsg() any { return new(Msg) }
 
-// DecodePooled reads one frame from r, untagged or tagged, and
-// records which it was (and a tagged frame's request id), so a decoded
-// frame re-encodes identically. The payload is backed by a pooled
-// frame-class buffer and the Msg by a pooled struct, so a steady-state
-// read loop performs zero allocations per frame (control frames
-// carrying Host or Keys still allocate those two fields).
-//
-// Ownership contract: the returned Msg and everything it references —
-// in particular Data, which aliases the pooled buffer — belong to the
-// caller until it calls Recycle(m), which must happen exactly once
-// and only after every use of the frame's bytes is complete. After
-// Recycle the buffer is reused for a future frame; a retained Data
-// slice would watch its contents change. Callers that need the data
-// to outlive the frame copy it out (page.Buf.ClonePooled) before
-// recycling. Dropping a Msg without Recycle is safe but leaks the
-// buffer to the garbage collector.
+// GetMsg returns a zeroed Msg from the pool, for a sender that will
+// Recycle it once the frame has left (the server's acks).
 //
 //rmpvet:hotpath
-func DecodePooled(r io.Reader) (*Msg, error) {
-	// The header is read into the pooled frame buffer itself (not a
-	// stack array): io.ReadFull's indirection would force a stack
-	// header to escape, and the frame class reserves room for it.
-	buf := page.GetFrame()
-	hdr := buf[:headerLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		page.Put(buf)
-		return nil, err
-	}
-	if binary.BigEndian.Uint16(hdr[0:]) != Magic {
-		page.Put(buf)
-		return nil, ErrBadMagic
-	}
-	if hdr[2] != Version && hdr[2] != Version2 {
-		page.Put(buf)
-		return nil, ErrBadVersion
-	}
-	plen := binary.BigEndian.Uint32(hdr[8:])
-	if plen > MaxPayload {
-		page.Put(buf)
-		return nil, ErrTooLarge
-	}
-	off := headerLen
-	var id uint32
-	if hdr[2] == Version2 {
-		if _, err := io.ReadFull(r, buf[off:off+idLen]); err != nil {
-			page.Put(buf)
-			return nil, err
-		}
-		id = binary.BigEndian.Uint32(buf[off:])
-		off += idLen
-	}
-	p := buf[off : off+int(plen)]
-	if _, err := io.ReadFull(r, p); err != nil {
-		page.Put(buf)
-		return nil, err
-	}
+func GetMsg() *Msg { return msgPool.Get().(*Msg) }
 
-	m := msgPool.Get().(*Msg)
-	m.Type = Type(hdr[3])
-	m.Flags = hdr[4]
-	m.Status = Status(hdr[5])
-	m.Version = hdr[2]
-	m.ID = id
-	m.payload = buf
-	if err := m.parsePayload(p); err != nil {
-		Recycle(m)
-		return nil, err
-	}
-	return m, nil
-}
-
-// Recycle returns a message obtained from DecodePooled (and its
-// pooled payload buffer) to the pools. It must be called exactly once
+// Recycle returns a message obtained from a FrameReader or GetMsg (and
+// its pooled payload buffer) to the pools. It must be called exactly once
 // per message, after the caller is completely done with every slice
 // the Msg hands out — Data in particular. Messages built by hand may
 // also be Recycled (their struct is pooled, the GC keeps their
