@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race gofmt vet vet-json lint escapes bench fuzz-smoke clean
+.PHONY: all build test race gofmt vet vet-json lint escapes bench golden fuzz-smoke clean
 
 all: build gofmt vet lint escapes test
 
@@ -61,6 +61,13 @@ bench:
 	$(GO) run ./cmd/rmpbench -exp tier
 	$(GO) run ./cmd/rmpbench -exp rs
 	$(GO) run ./cmd/rmpbench -exp scale
+
+# golden: rewrite the paper outputs TestPaperOutputsGolden pins
+# (internal/experiments/testdata/*.golden: Figs 1-5 and DECOMP) from
+# the current code. Only for a change meant to move them; review the
+# diff before committing it.
+golden:
+	$(GO) test ./internal/experiments -run 'TestPaperOutputsGolden$$' -count=1 -update
 
 # fuzz-smoke: a short deterministic pass over every fuzz target's seed
 # corpus plus a brief mutation run, mirroring the CI fuzz step.

@@ -119,6 +119,11 @@ func info(args []string) {
 	fmt.Printf("max page:  %d (footprint %.1f MB)\n", maxPg, float64(maxPg+1)*8192/(1<<20))
 }
 
+// maxPage bounds the page numbers a replayed trace may name: the
+// replayer's page table is flat, an entry per page up to the largest
+// referenced, so 2^24 pages (a 128 GB address space) is an 80 MB table.
+const maxPage = 1 << 24
+
 // replayFaults runs the trace through an LRU and returns the stream.
 func replayFaults(path string, residentMB int) []vm.Fault {
 	f, err := os.Open(path)
@@ -128,8 +133,22 @@ func replayFaults(path string, residentMB int) []vm.Fault {
 	defer f.Close()
 	var out []vm.Fault
 	rp := vm.NewReplayer(residentMB<<20/8192, func(fault vm.Fault) { out = append(out, fault) })
-	if _, err := trace.ReplayRefs(f, func(pg int64, write bool) { rp.Ref(pg, write) }); err != nil {
+	inRange := true
+	var bad int64
+	_, err = trace.ReplayRefs(f, func(pg int64, write bool) {
+		switch {
+		case !inRange:
+		case pg < 0 || pg >= maxPage:
+			inRange, bad = false, pg
+		default:
+			rp.Ref(pg, write)
+		}
+	})
+	if err != nil {
 		log.Fatal(err)
+	}
+	if !inRange {
+		log.Fatalf("rmptrace: %s names page %d, outside [0, %d)", path, bad, maxPage)
 	}
 	return out
 }

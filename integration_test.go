@@ -74,6 +74,7 @@ func TestSoakAllAppsOverLiveCluster(t *testing.T) {
 		client.PolicyParity,
 		client.PolicyParityLogging,
 		client.PolicyWriteThrough,
+		client.PolicyRS,
 	} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {

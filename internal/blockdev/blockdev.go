@@ -19,11 +19,14 @@ import (
 	"rmp/internal/page"
 )
 
-// Device is a page-granular block device.
+// Device is a page-granular block device. The VM reuses its frames:
+// implementations must not reference data or buf after the call
+// returns.
 type Device interface {
-	// ReadBlock fills buf with the contents of block bn.
+	// ReadBlock fills every byte of buf with the contents of block bn.
 	ReadBlock(bn int64, buf page.Buf) error
-	// WriteBlock stores data as the contents of block bn.
+	// WriteBlock stores data as the contents of block bn. It copies what
+	// it keeps: the caller overwrites data as soon as it returns.
 	WriteBlock(bn int64, data page.Buf) error
 	// Discard releases any storage for the given blocks (TRIM); the
 	// VM calls it when an address space shrinks or exits.
@@ -58,6 +61,7 @@ func (d *PagerDevice) ReadBlock(bn int64, buf page.Buf) error {
 		return err
 	}
 	copy(buf, data)
+	page.Put(data)
 	return nil
 }
 

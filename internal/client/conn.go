@@ -426,6 +426,17 @@ type call struct {
 	typ wire.Type
 }
 
+// accept takes the ack delivered for cl, or recycles it and reports a
+// reply of the wrong type.
+func (cl call) accept(ack *wire.Msg) (*wire.Msg, error) {
+	if ack.Type != cl.typ.Ack() {
+		typ := ack.Type
+		wire.Recycle(ack)
+		return nil, fmt.Errorf("client: got %v in reply to %v", typ, cl.typ)
+	}
+	return ack, nil
+}
+
 // waiter is what a single round trip waits on: the channel its ack
 // arrives on and the timer that bounds the wait. Both are reusable once
 // the round trip is over — the channel is empty (the ack was received,
@@ -519,13 +530,16 @@ func (c *Conn) flush(base time.Duration) error {
 func (c *Conn) await(cl call, timer *time.Timer, d time.Duration) (*wire.Msg, error) {
 	select {
 	case ack := <-cl.ch:
-		if ack.Type != cl.typ.Ack() {
-			typ := ack.Type
-			wire.Recycle(ack)
-			return nil, fmt.Errorf("client: got %v in reply to %v", typ, cl.typ)
-		}
-		return ack, nil
+		return cl.accept(ack)
 	case <-c.done:
+		// The read loop delivers an ack before it can fail the mux, so
+		// an ack that arrived just before the connection died is in
+		// cl.ch by now; select may still have picked this arm.
+		select {
+		case ack := <-cl.ch:
+			return cl.accept(ack)
+		default:
+		}
 		c.abandon(cl)
 		return nil, c.muxError()
 	case <-timer.C:

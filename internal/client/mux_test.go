@@ -1,11 +1,13 @@
 package client_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -595,5 +597,70 @@ func TestWedgedPeerBoundedByWriteDeadline(t *testing.T) {
 				t.Fatalf("pageout on the broken connection: got %v, want a prompt connection error", err)
 			}
 		})
+	}
+}
+
+// holdConn delays the return of an armed Write until the connection
+// has been closed, so the caller reaches its wait only after the read
+// loop has both delivered the ack and failed the mux.
+type holdConn struct {
+	net.Conn
+	armed  atomic.Bool
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (h *holdConn) Write(b []byte) (int, error) {
+	n, err := h.Conn.Write(b)
+	if h.armed.Load() {
+		select {
+		case <-h.closed:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	return n, err
+}
+
+func (h *holdConn) Close() error {
+	h.once.Do(func() { close(h.closed) })
+	return h.Conn.Close()
+}
+
+// TestAckThenHangUpIsDelivered: a peer that answers and closes in one
+// write — BYE's shape — must have its answer taken, not reported as the
+// closed connection. The read loop delivers the ack before it fails the
+// mux, so when the caller waits both are ready and select may pick
+// either; holdConn makes that the case on every run.
+func TestAckThenHangUpIsDelivered(t *testing.T) {
+	cli, srv := net.Pipe()
+	hc := &holdConn{Conn: cli, closed: make(chan struct{})}
+	go func() {
+		defer srv.Close()
+		hello, err := wire.DecodePooled(srv)
+		if err != nil {
+			return
+		}
+		wire.Recycle(hello)
+		if wire.Encode(srv, &wire.Msg{Type: wire.THelloAck, Flags: wire.FlagV2, N: 1 << 20}) != nil {
+			return
+		}
+		req, err := wire.DecodePooled(srv)
+		if err != nil {
+			return
+		}
+		var b bytes.Buffer
+		wire.Encode(&b, &wire.Msg{Type: req.Type.Ack(), Version: req.Version, ID: req.ID, Key: req.Key, Status: wire.StatusOK})
+		wire.Recycle(req)
+		srv.Write(b.Bytes())
+	}()
+	dial := func(string, time.Duration) (net.Conn, error) { return hc, nil }
+	c, err := client.DialWithOptions("pipe", "hangup-test", "", client.DialOptions{Dial: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hc.armed.Store(true)
+	if err := c.Free(1); err != nil {
+		t.Fatalf("acked request reported as failed: %v", err)
 	}
 }

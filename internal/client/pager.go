@@ -693,7 +693,9 @@ func (p *Pager) PageOut(id page.ID, data page.Buf) error {
 	return p.pol.pageOut(id, data)
 }
 
-// PageIn retrieves a previously paged-out page.
+// PageIn retrieves a previously paged-out page. The returned buffer is
+// the caller's: nothing in the pager references it, and a caller done
+// with it may hand it to page.Put.
 func (p *Pager) PageIn(id page.ID) (page.Buf, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -1,6 +1,6 @@
 package vm
 
-import "container/list"
+import "rmp/internal/page"
 
 // Ref is one page-granular memory reference in an application trace.
 type Ref struct {
@@ -28,71 +28,22 @@ type Fault struct {
 // Replayer simulates LRU demand paging over a page-reference stream
 // without storing any data. The experiment harness replays the
 // paper-scale application traces through it to obtain the pagein /
-// pageout streams that drive the timing models; Space implements the
-// same policy for real data, and tests assert the two agree.
-type Replayer struct {
-	maxRes   int
-	resident map[int64]*rframe
-	lru      *list.List
-	written  map[int64]bool
-	onFault  func(Fault)
-
-	ins, outs uint64
-}
-
-type rframe struct {
-	page  int64
-	dirty bool
-	elem  *list.Element
-}
+// pageout streams that drive the timing models. It is a Space whose
+// frames hold no data and whose device reports each call as a Fault,
+// so the two page identically by construction. Its page table grows to
+// the largest page referenced, which must not be negative.
+type Replayer struct{ s Space }
 
 // NewReplayer creates a replayer with the given resident-set size in
 // pages (minimum 2, matching Space). onFault may be nil.
 func NewReplayer(residentPages int, onFault func(Fault)) *Replayer {
-	if residentPages < 2 {
-		residentPages = 2
-	}
-	return &Replayer{
-		maxRes:   residentPages,
-		resident: make(map[int64]*rframe),
-		lru:      list.New(),
-		written:  make(map[int64]bool),
-		onFault:  onFault,
-	}
+	return &Replayer{s: Space{backing: replayDevice{onFault}, maxRes: max(residentPages, 2), noData: true}}
 }
 
 // Ref feeds one reference through the LRU.
 func (r *Replayer) Ref(pg int64, write bool) {
-	f, ok := r.resident[pg]
-	if ok {
-		r.lru.MoveToFront(f.elem)
-		if write {
-			f.dirty = true
-		}
-		return
-	}
-	if len(r.resident) >= r.maxRes {
-		back := r.lru.Back()
-		v := back.Value.(*rframe)
-		if v.dirty {
-			r.outs++
-			r.written[v.page] = true
-			if r.onFault != nil {
-				r.onFault(Fault{Kind: FaultOut, Page: v.page})
-			}
-		}
-		r.lru.Remove(back)
-		delete(r.resident, v.page)
-	}
-	f = &rframe{page: pg, dirty: write}
-	if r.written[pg] {
-		r.ins++
-		if r.onFault != nil {
-			r.onFault(Fault{Kind: FaultIn, Page: pg})
-		}
-	}
-	f.elem = r.lru.PushFront(f)
-	r.resident[pg] = f
+	f, _ := r.s.frame(pg) // replayDevice never fails
+	f.dirty = f.dirty || write
 }
 
 // Refs feeds a batch of references.
@@ -103,4 +54,19 @@ func (r *Replayer) Refs(refs []Ref) {
 }
 
 // Counts returns the pageins and pageouts replayed so far.
-func (r *Replayer) Counts() (ins, outs uint64) { return r.ins, r.outs }
+func (r *Replayer) Counts() (ins, outs uint64) { return r.s.stats.PageIns, r.s.stats.PageOuts }
+
+// replayDevice stores nothing and reports each call as a Fault.
+type replayDevice struct{ onFault func(Fault) }
+
+func (d replayDevice) ReadBlock(bn int64, _ page.Buf) error  { return d.fault(FaultIn, bn) }
+func (d replayDevice) WriteBlock(bn int64, _ page.Buf) error { return d.fault(FaultOut, bn) }
+func (replayDevice) Discard(...int64) error                  { return nil }
+func (replayDevice) Close() error                            { return nil }
+
+func (d replayDevice) fault(kind FaultKind, pg int64) error {
+	if d.onFault != nil {
+		d.onFault(Fault{Kind: kind, Page: pg})
+	}
+	return nil
+}

@@ -9,14 +9,19 @@
 // Semantics follow a real pager: pages are demand-zero on first
 // touch (no backing read), clean evictions are free (the backing copy
 // is still valid), and only dirty evictions page out.
+//
+// Space and the data-free Replayer share one resident set: a flat page
+// table over a slab of frames, exact LRU by stamp. A resident access is
+// a table index and a stamp, as a hardware load is; software runs on a
+// fault, which scans for the least stamp and hands the victim's frame,
+// buffer and all, to the incoming page.
 package vm
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"rmp/internal/blockdev"
 	"rmp/internal/page"
@@ -43,35 +48,29 @@ type Options struct {
 	Readahead int
 }
 
-// frame is a resident page.
-type frame struct {
-	bn    int64
-	data  page.Buf
-	dirty bool
-	elem  *list.Element // position in the LRU list
-}
-
 // Space is a demand-paged address space. Not safe for concurrent use:
 // it models a single faulting process, like the paper's applications.
 type Space struct {
-	size     int64 // bytes
-	resident map[int64]*frame
-	maxRes   int
-	lru      *list.List // front = most recent; back = victim
-	backing  blockdev.Device
-	// written tracks blocks that exist on the backing device, so
-	// faults on never-written pages zero-fill instead of reading.
-	written map[int64]bool
+	size    int64 // bytes
+	backing blockdev.Device
+	opts    Options
+	table   []int32 // block number -> slot+1 in frames; 0: not resident
+	frames  []frame // at most maxRes, in no particular order
+	maxRes  int
+	clock   uint64 // stamps each reference; the least stamped frame is the LRU
+	written []bool // block number -> has a copy on the device (else zero-fill)
+	noData  bool   // a Replayer's: frames carry no buffers
+	lastIn  int64  // block of the previous demand pagein, for run detection
+	stats   Stats
+}
 
-	opts Options
-	// lastIn is the block of the previous demand pagein, for
-	// sequential-run detection; prefetched tracks frames brought in
-	// speculatively whose first demand hit should count as a prefetch
-	// hit.
-	lastIn     int64
-	prefetched map[int64]bool
-
-	stats Stats
+// frame is one slot of the resident set.
+type frame struct {
+	bn         int64
+	data       page.Buf
+	used       uint64 // clock at the latest reference
+	dirty      bool
+	prefetched bool // read ahead and not yet demanded
 }
 
 // New creates a space of size bytes backed by dev, keeping at most
@@ -86,23 +85,16 @@ func NewOpts(size, residentBytes int64, dev blockdev.Device, opts Options) (*Spa
 	if size <= 0 {
 		return nil, errors.New("vm: size must be positive")
 	}
-	maxRes := int(residentBytes / page.Size)
-	if maxRes < 2 {
-		maxRes = 2
-	}
-	if opts.Readahead < 0 {
-		opts.Readahead = 0
-	}
+	opts.Readahead = max(opts.Readahead, 0)
+	blocks := (size + page.Size - 1) / page.Size
 	return &Space{
-		size:       size,
-		resident:   make(map[int64]*frame),
-		maxRes:     maxRes,
-		lru:        list.New(),
-		backing:    dev,
-		written:    make(map[int64]bool),
-		opts:       opts,
-		lastIn:     -2,
-		prefetched: make(map[int64]bool),
+		size:    size,
+		backing: dev,
+		opts:    opts,
+		table:   make([]int32, blocks),
+		maxRes:  max(int(residentBytes/page.Size), 2),
+		written: make([]bool, blocks),
+		lastIn:  -2,
 	}, nil
 }
 
@@ -113,107 +105,133 @@ func (s *Space) Size() int64 { return s.size }
 func (s *Space) Stats() Stats { return s.stats }
 
 // ResidentPages returns the current number of resident frames.
-func (s *Space) ResidentPages() int { return len(s.resident) }
+func (s *Space) ResidentPages() int { return len(s.frames) }
 
-// fault makes block bn resident and returns its frame.
-func (s *Space) fault(bn int64) (*frame, error) {
-	if f, ok := s.resident[bn]; ok {
-		s.lru.MoveToFront(f.elem)
-		if s.prefetched[bn] {
-			delete(s.prefetched, bn)
+// frame returns block bn's frame, faulting it in if it is not resident.
+//
+//rmpvet:hotpath
+func (s *Space) frame(bn int64) (*frame, error) {
+	if bn < int64(len(s.table)) && s.table[bn] != 0 {
+		f := &s.frames[s.table[bn]-1]
+		s.clock++
+		f.used = s.clock
+		if f.prefetched {
+			f.prefetched = false
 			s.stats.PrefHits++
 		}
 		return f, nil
 	}
-	f, err := s.materialize(bn)
+	slot, err := s.materialize(bn)
+	if err == nil && s.opts.Readahead > 0 && s.written[bn] {
+		err = s.readahead(bn, slot)
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Sequential readahead: a demand pagein that continues a run
-	// speculatively pulls in the next backed blocks. The prefetch
-	// count is capped below the resident size and the demand frame is
-	// re-promoted after every prefetch, so the frame being returned
-	// can never be the eviction victim of its own readahead.
-	if s.opts.Readahead > 0 && s.written[bn] {
-		sequential := bn == s.lastIn+1
-		s.lastIn = bn
-		limit := s.opts.Readahead
-		if limit > s.maxRes-2 {
-			limit = s.maxRes - 2
+	return &s.frames[slot], nil
+}
+
+// readahead follows a demand pagein of bn, into slot, that continues a
+// sequential run by reading the next backed blocks in. Capped below the
+// resident size, and re-promoting the demand frame after every
+// prefetch, it can never evict the frame it follows.
+func (s *Space) readahead(bn int64, slot int) error {
+	prev := s.lastIn
+	if s.lastIn = bn; bn != prev+1 {
+		return nil
+	}
+	for next := bn + 1; next <= bn+int64(min(s.opts.Readahead, s.maxRes-2)); next++ {
+		if next*page.Size >= s.size || !s.written[next] {
+			break
 		}
-		if sequential {
-			for next := bn + 1; next <= bn+int64(limit); next++ {
-				if next*page.Size >= s.size || !s.written[next] {
-					break
-				}
-				if _, resident := s.resident[next]; resident {
-					continue
-				}
-				if _, err := s.materialize(next); err != nil {
-					return nil, err
-				}
-				s.prefetched[next] = true
-				s.stats.Prefetch++
-				s.lru.MoveToFront(f.elem)
+		if s.table[next] != 0 {
+			continue
+		}
+		ahead, err := s.materialize(next)
+		if err != nil {
+			return err
+		}
+		s.frames[ahead].prefetched = true
+		s.stats.Prefetch++
+		s.clock++
+		s.frames[slot].used = s.clock
+	}
+	return nil
+}
+
+// materialize brings block bn into a frame and returns its slot: a new
+// one while fewer than maxRes are resident, else the LRU victim's, paged
+// out if dirty and cleared only for a demand-zero fault.
+func (s *Space) materialize(bn int64) (int, error) {
+	slot := len(s.frames)
+	fresh := slot < s.maxRes
+	if fresh {
+		s.frames = append(s.frames, frame{})
+	} else { // the victim: the least recently stamped frame
+		slot = 0
+		least := s.frames[0].used
+		for i := range s.frames {
+			if u := s.frames[i].used; u < least {
+				slot, least = i, u
 			}
 		}
 	}
-	return f, nil
-}
-
-// materialize brings block bn into a fresh frame (evicting if full).
-func (s *Space) materialize(bn int64) (*frame, error) {
-	if len(s.resident) >= s.maxRes {
-		if err := s.evictVictim(); err != nil {
-			return nil, err
+	f := &s.frames[slot]
+	if fresh && !s.noData {
+		f.data = page.NewBuf()
+	} else if !fresh {
+		if f.dirty {
+			if err := s.backing.WriteBlock(f.bn, f.data); err != nil {
+				return -1, fmt.Errorf("vm: pageout block %d: %w", f.bn, err)
+			}
+			s.written[f.bn] = true
+			s.stats.PageOuts++
 		}
+		s.table[f.bn] = 0
+		s.stats.Evictions++
 	}
-	f := &frame{bn: bn, data: page.NewBuf()}
 	s.stats.Faults++
-	if s.written[bn] {
+	if bn >= int64(len(s.table)) { // a Replayer's table grows on demand
+		n := max(bn+1, 2*int64(len(s.table)))
+		s.table = append(s.table, make([]int32, n-int64(len(s.table)))...)
+		s.written = append(s.written, make([]bool, n-int64(len(s.written)))...)
+	}
+	switch {
+	case s.written[bn]:
 		if err := s.backing.ReadBlock(bn, f.data); err != nil {
-			return nil, fmt.Errorf("vm: pagein block %d: %w", bn, err)
+			s.release(slot)
+			return -1, fmt.Errorf("vm: pagein block %d: %w", bn, err)
 		}
 		s.stats.PageIns++
+	case !fresh:
+		clear(f.data)
 	}
-	f.elem = s.lru.PushFront(f)
-	s.resident[bn] = f
-	return f, nil
+	s.table[bn] = int32(slot + 1)
+	s.clock++
+	*f = frame{bn: bn, data: f.data, used: s.clock}
+	return slot, nil
 }
 
-// evictVictim pushes the least recently used frame out.
-func (s *Space) evictVictim() error {
-	back := s.lru.Back()
-	if back == nil {
-		return errors.New("vm: nothing to evict")
+// release frees a slot claimed for a page that never arrived, moving
+// the last frame into it so the slab stays dense.
+func (s *Space) release(slot int) {
+	last := len(s.frames) - 1
+	if slot != last {
+		s.frames[slot] = s.frames[last]
+		s.table[s.frames[slot].bn] = int32(slot + 1)
 	}
-	f := back.Value.(*frame)
-	if f.dirty {
-		if err := s.backing.WriteBlock(f.bn, f.data); err != nil {
-			return fmt.Errorf("vm: pageout block %d: %w", f.bn, err)
-		}
-		s.written[f.bn] = true
-		s.stats.PageOuts++
-	}
-	s.lru.Remove(back)
-	delete(s.resident, f.bn)
-	delete(s.prefetched, f.bn)
-	s.stats.Evictions++
-	return nil
+	s.frames = s.frames[:last]
 }
 
 // Flush writes every dirty resident page to the backing device (like
 // a process exit syncing its swap), in ascending block order so a
 // disk-backed device sees a sequential stream.
 func (s *Space) Flush() error {
-	dirty := make([]*frame, 0, len(s.resident))
-	for _, f := range s.resident {
-		if f.dirty {
-			dirty = append(dirty, f)
+	for _, e := range s.table {
+		if e == 0 || !s.frames[e-1].dirty {
+			continue
 		}
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].bn < dirty[j].bn })
-	for _, f := range dirty {
+		f := &s.frames[e-1]
 		if err := s.backing.WriteBlock(f.bn, f.data); err != nil {
 			return err
 		}
@@ -226,9 +244,11 @@ func (s *Space) Flush() error {
 
 // Close discards backing storage for the whole space.
 func (s *Space) Close() error {
-	bns := make([]int64, 0, len(s.written))
-	for bn := range s.written {
-		bns = append(bns, bn)
+	var bns []int64
+	for bn, w := range s.written {
+		if w {
+			bns = append(bns, int64(bn))
+		}
 	}
 	return s.backing.Discard(bns...)
 }
@@ -248,17 +268,11 @@ func (s *Space) Read(off int64, b []byte) error {
 	}
 	s.stats.Accesses++
 	for len(b) > 0 {
-		bn := off / page.Size
-		po := int(off % page.Size)
-		n := page.Size - po
-		if n > len(b) {
-			n = len(b)
-		}
-		f, err := s.fault(bn)
+		f, err := s.frame(off / page.Size)
 		if err != nil {
 			return err
 		}
-		copy(b, f.data[po:po+n])
+		n := copy(b, f.data[off%page.Size:])
 		off += int64(n)
 		b = b[n:]
 	}
@@ -272,17 +286,11 @@ func (s *Space) Write(off int64, b []byte) error {
 	}
 	s.stats.Accesses++
 	for len(b) > 0 {
-		bn := off / page.Size
-		po := int(off % page.Size)
-		n := page.Size - po
-		if n > len(b) {
-			n = len(b)
-		}
-		f, err := s.fault(bn)
+		f, err := s.frame(off / page.Size)
 		if err != nil {
 			return err
 		}
-		copy(f.data[po:po+n], b[:n])
+		n := copy(f.data[off%page.Size:], b)
 		f.dirty = true
 		off += int64(n)
 		b = b[n:]
@@ -290,34 +298,66 @@ func (s *Space) Write(off int64, b []byte) error {
 	return nil
 }
 
+// wordsPerPage is how many 8-byte elements a page holds: an element
+// never straddles two pages.
+const wordsPerPage = page.Size / 8
+
+// word returns the 8 bytes of element i, counted as one access and
+// marked dirty for a store. A resident page is a table index and a
+// stamp away; a miss faults through frame, as Read and Write do.
+//
+//rmpvet:hotpath
+func (s *Space) word(i int64, store bool) ([]byte, error) {
+	if uint64(i) >= uint64(s.size)/8 {
+		return nil, s.outside(i)
+	}
+	s.stats.Accesses++
+	f, err := s.frame(int64(uint64(i) / wordsPerPage))
+	if err != nil {
+		return nil, err
+	}
+	f.dirty = f.dirty || store
+	off := uint64(i) % wordsPerPage * 8
+	return f.data[off : off+8], nil
+}
+
+// outside reports an element index beyond the space, out of line so
+// word carries no fmt boxing.
+//
+//go:noinline
+func (s *Space) outside(i int64) error {
+	return fmt.Errorf("vm: element %d outside space of %d bytes", i, s.size)
+}
+
 // Float64 reads the float64 at element index i (8-byte elements).
 func (s *Space) Float64(i int64) (float64, error) {
-	var b [8]byte
-	if err := s.Read(i*8, b[:]); err != nil {
-		return 0, err
-	}
-	return bitsToFloat(binary.LittleEndian.Uint64(b[:])), nil
+	v, err := s.Uint64(i)
+	return math.Float64frombits(v), err
 }
 
 // SetFloat64 writes the float64 at element index i.
 func (s *Space) SetFloat64(i int64, v float64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], floatToBits(v))
-	return s.Write(i*8, b[:])
+	return s.SetUint64(i, math.Float64bits(v))
 }
 
 // Uint64 reads the uint64 at element index i.
+//
+//rmpvet:hotpath
 func (s *Space) Uint64(i int64) (uint64, error) {
-	var b [8]byte
-	if err := s.Read(i*8, b[:]); err != nil {
+	w, err := s.word(i, false)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return binary.LittleEndian.Uint64(w), nil
 }
 
 // SetUint64 writes the uint64 at element index i.
+//
+//rmpvet:hotpath
 func (s *Space) SetUint64(i int64, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return s.Write(i*8, b[:])
+	w, err := s.word(i, true)
+	if err == nil {
+		binary.LittleEndian.PutUint64(w, v)
+	}
+	return err
 }
