@@ -62,12 +62,16 @@ bench:
 	$(GO) run ./cmd/rmpbench -exp rs
 	$(GO) run ./cmd/rmpbench -exp scale
 
-# golden: rewrite the paper outputs TestPaperOutputsGolden pins
-# (internal/experiments/testdata/*.golden: Figs 1-5 and DECOMP) from
-# the current code. Only for a change meant to move them; review the
-# diff before committing it.
+# golden: rewrite both golden sets from the current code — the paper
+# outputs TestPaperOutputsGolden pins (internal/experiments/testdata:
+# Figs 1-5, DECOMP, and the transfer/stored columns of -exp rs and
+# -exp overflow) and the apps' device-call sequences
+# TestRunFaultSequenceGolden pins (internal/apps/testdata/runs.golden).
+# Only for a change meant to move them; review the diff before
+# committing it.
 golden:
 	$(GO) test ./internal/experiments -run 'TestPaperOutputsGolden$$' -count=1 -update
+	$(GO) test ./internal/apps -run 'TestRunFaultSequenceGolden$$' -count=1 -update
 
 # fuzz-smoke: a short deterministic pass over every fuzz target's seed
 # corpus plus a brief mutation run, mirroring the CI fuzz step.

@@ -10,7 +10,11 @@
 //     workloads genuinely fault through whatever backing device the
 //     space is given — including the live TCP remote memory pager.
 //     Used by examples, integration tests and live benchmarks at
-//     laptop-friendly input sizes.
+//     laptop-friendly input sizes. Where the inner loop is a row walk
+//     (GAUSS's row updates) Run takes the rows a page-span at a time
+//     (vm.Space.Span), in the order the element loop would touch them,
+//     so the device sees the same calls and the elements are plain
+//     loads and stores.
 //
 //   - Trace emits the page-granular memory-reference stream of the
 //     same algorithm at any size, including the paper's 1996 input
@@ -19,7 +23,8 @@
 //     streams for the timing models.
 //
 // Tests assert that Run and Trace produce closely matching fault
-// counts at equal scale, so the paper-scale traces are trustworthy.
+// counts at equal scale, so the paper-scale traces are trustworthy, and
+// pin every Run's device-call sequence (testdata/runs.golden).
 package apps
 
 import (

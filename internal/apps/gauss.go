@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -39,7 +40,11 @@ func (g *Gauss) Bytes() int64 { return int64(g.n) * int64(g.n) * 8 }
 // idx is the element index of A[i][j].
 func (g *Gauss) idx(i, j int) int64 { return int64(i)*int64(g.n) + int64(j) }
 
-// eliminateRow applies pivot row k to row i over columns k..n-1.
+// eliminateRow applies pivot row k to row i over columns k..n-1. It
+// walks both rows a segment at a time, each segment inside one page of
+// row k and one page of row i: row k's span is taken first and row i's
+// second, the order the element loop touches them in, so the pages are
+// referenced in the same sequence as element by element.
 func (g *Gauss) eliminateRow(s *vm.Space, k, i int) error {
 	pivot, err := s.Float64(g.idx(k, k))
 	if err != nil {
@@ -53,18 +58,22 @@ func (g *Gauss) eliminateRow(s *vm.Space, k, i int) error {
 		return err
 	}
 	factor := aik / pivot
-	for j := k; j < g.n; j++ {
-		akj, err := s.Float64(g.idx(k, j))
+	for j := k; j < g.n; {
+		rowK, err := s.Span(g.idx(k, j), int64(g.n-j), false)
 		if err != nil {
 			return err
 		}
-		aij, err := s.Float64(g.idx(i, j))
+		rowI, err := s.Span(g.idx(i, j), int64(len(rowK)/8), true)
 		if err != nil {
 			return err
 		}
-		if err := s.SetFloat64(g.idx(i, j), aij-factor*akj); err != nil {
-			return err
+		rowK = rowK[:len(rowI)]
+		for x := 0; x < len(rowI); x += 8 {
+			akj := math.Float64frombits(binary.LittleEndian.Uint64(rowK[x:]))
+			aij := math.Float64frombits(binary.LittleEndian.Uint64(rowI[x:]))
+			binary.LittleEndian.PutUint64(rowI[x:], math.Float64bits(aij-factor*akj))
 		}
+		j += len(rowI) / 8
 	}
 	return nil
 }

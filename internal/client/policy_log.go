@@ -170,19 +170,18 @@ func (pl *logPolicy) tolerance() int {
 }
 
 // freeSlots releases log slots of the layout cols on whichever of its
-// servers still live (dead servers' memory is gone with them).
+// servers still live (dead servers' memory is gone with them), one
+// FREE per column: a layout's columns are distinct servers.
 func (pl *logPolicy) freeSlots(cols []int, slots []parity.ColumnKey) {
-	if len(slots) == 0 {
-		return
-	}
-	perSrv := make(map[int][]uint64)
-	for _, s := range slots {
-		perSrv[cols[s.Column]] = append(perSrv[cols[s.Column]], s.Key)
-	}
-	for srv, keys := range perSrv {
-		if pl.p.servers[srv].alive {
-			pl.p.freeSlots(srv, keys...)
+	var keys []uint64
+	for col, srv := range cols {
+		keys = keys[:0]
+		for _, s := range slots {
+			if s.Column == col {
+				keys = append(keys, s.Key)
+			}
 		}
+		pl.p.freeSlots(srv, keys...) // no-op for a dead server or no keys
 	}
 }
 

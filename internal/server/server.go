@@ -164,13 +164,17 @@ type Server struct {
 	wg sync.WaitGroup
 
 	// parityConns caches outbound connections for XORWRITE forwarding,
-	// keyed by "addr|clientName" because the forwarded HELLO must
+	// keyed by parity server and client because the forwarded HELLO must
 	// impersonate the originating client to hit its namespace.
 	parityMu sync.Mutex
 	// parityConns is the forwarding-connection cache. Guarded by
 	// parityMu.
-	parityConns map[string]*parityConn
+	parityConns map[parityLink]*parityConn
 }
+
+// parityLink names a forwarding connection: the parity server it
+// reaches and the client whose namespace its deltas land in.
+type parityLink struct{ addr, client string }
 
 type parityConn struct {
 	mu   sync.Mutex
@@ -221,7 +225,7 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		conns:       make(map[net.Conn]struct{}),
 		clients:     make(map[string]*clientNS),
-		parityConns: make(map[string]*parityConn),
+		parityConns: make(map[parityLink]*parityConn),
 	}
 	storeCfg := store.Config{
 		CapacityPages: cfg.CapacityPages,
@@ -392,7 +396,7 @@ func (s *Server) Close() error {
 	for _, pc := range s.parityConns {
 		pc.conn.Close()
 	}
-	s.parityConns = make(map[string]*parityConn)
+	s.parityConns = make(map[parityLink]*parityConn)
 	s.parityMu.Unlock()
 	if s.stopTrace != nil {
 		close(s.stopTrace)
@@ -723,12 +727,11 @@ func (s *Server) handle(sess *session, m *wire.Msg) *wire.Msg {
 		ack.WithChecksum()
 
 	case wire.TFree:
-		keys := make([]uint64, len(m.Keys))
-		for i, k := range m.Keys {
-			keys[i] = nsKey(tag, k)
+		for i, k := range m.Keys { // in place: m is recycled once this returns
+			m.Keys[i] = nsKey(tag, k)
 		}
-		s.store.Delete(keys...)
-		ack.N = uint32(len(keys))
+		s.store.Delete(m.Keys...)
+		ack.N = uint32(len(m.Keys))
 
 	case wire.TLoad:
 		ack.N = uint32(s.store.Free())
@@ -888,8 +891,8 @@ func (s *Server) forwardDelta(addr, clientName string, parityKey uint64, delta p
 	if addr == "" {
 		return errors.New("server: XORWRITE without parity host")
 	}
-	cacheKey := addr + "|" + clientName
-	pc, err := s.parityConnFor(cacheKey, addr, clientName)
+	link := parityLink{addr, clientName}
+	pc, err := s.parityConnFor(link)
 	if err != nil {
 		return err
 	}
@@ -918,7 +921,7 @@ func (s *Server) forwardDelta(addr, clientName string, parityKey uint64, delta p
 		// acks with deltas.
 		wire.Recycle(ack)
 		pc.fr.Release()
-		s.invalidateParityConn(cacheKey, pc)
+		s.invalidateParityConn(link, pc)
 		return err
 	}
 	status := ack.Status
@@ -926,9 +929,9 @@ func (s *Server) forwardDelta(addr, clientName string, parityKey uint64, delta p
 	return status.Err()
 }
 
-func (s *Server) parityConnFor(cacheKey, addr, clientName string) (*parityConn, error) {
+func (s *Server) parityConnFor(link parityLink) (*parityConn, error) {
 	s.parityMu.Lock()
-	pc, ok := s.parityConns[cacheKey]
+	pc, ok := s.parityConns[link]
 	s.parityMu.Unlock()
 	if ok {
 		return pc, nil
@@ -939,7 +942,7 @@ func (s *Server) parityConnFor(cacheKey, addr, clientName string) (*parityConn, 
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	conn, err := dial(addr, 5*time.Second)
+	conn, err := dial(link.addr, 5*time.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -949,29 +952,29 @@ func (s *Server) parityConnFor(cacheKey, addr, clientName string) (*parityConn, 
 	// pc.mu — no mux, but every ack is checked against the id of the
 	// delta it must answer.
 	conn.SetDeadline(time.Now().Add(parityIOTimeout))
-	ack, err := wire.Hello(conn, clientName, s.cfg.AuthToken)
+	ack, err := wire.Hello(conn, link.client, s.cfg.AuthToken)
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("server: parity peer %s: %w", addr, err)
+		return nil, fmt.Errorf("server: parity peer %s: %w", link.addr, err)
 	}
 	wire.Recycle(ack)
 	pc = &parityConn{conn: conn, fw: wire.NewFrameWriter(conn), fr: wire.NewFrameReader(conn)}
 	s.parityMu.Lock()
-	if existing, ok := s.parityConns[cacheKey]; ok {
+	if existing, ok := s.parityConns[link]; ok {
 		s.parityMu.Unlock()
 		conn.Close()
 		return existing, nil
 	}
-	s.parityConns[cacheKey] = pc
+	s.parityConns[link] = pc
 	s.parityMu.Unlock()
 	return pc, nil
 }
 
-func (s *Server) invalidateParityConn(cacheKey string, pc *parityConn) {
+func (s *Server) invalidateParityConn(link parityLink, pc *parityConn) {
 	pc.conn.Close()
 	s.parityMu.Lock()
-	if s.parityConns[cacheKey] == pc {
-		delete(s.parityConns, cacheKey)
+	if s.parityConns[link] == pc {
+		delete(s.parityConns, link)
 	}
 	s.parityMu.Unlock()
 }

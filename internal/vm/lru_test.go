@@ -373,7 +373,8 @@ var (
 )
 
 // TestAccessesDoNotAllocate: a resident access through any of the four
-// element accessors allocates nothing, and neither does a fault that
+// element accessors or a page-long Span allocates nothing, and neither
+// does a fault that
 // pages a dirty victim out and the faulting page in — the victim's
 // frame takes the page.
 func TestAccessesDoNotAllocate(t *testing.T) {
@@ -396,6 +397,7 @@ func TestAccessesDoNotAllocate(t *testing.T) {
 		"SetUint64":  func() { check(s.SetUint64(w, 2)) },
 		"Float64":    func() { v, err := s.Float64(w); check(err); sinkF64 += v },
 		"SetFloat64": func() { check(s.SetFloat64(w, 2.5)) },
+		"Span":       func() { b, err := s.Span(w, wordsPerPage, true); check(err); sinkU64 += uint64(len(b)) },
 	} {
 		before := s.Stats()
 		if n := testing.AllocsPerRun(100, access); n != 0 {

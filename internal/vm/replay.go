@@ -42,8 +42,7 @@ func NewReplayer(residentPages int, onFault func(Fault)) *Replayer {
 
 // Ref feeds one reference through the LRU.
 func (r *Replayer) Ref(pg int64, write bool) {
-	f, _ := r.s.frame(pg) // replayDevice never fails
-	f.dirty = f.dirty || write
+	r.s.frame(pg, write) // replayDevice never fails
 }
 
 // Refs feeds a batch of references.

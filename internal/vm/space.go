@@ -15,6 +15,14 @@
 // a table index and a stamp, as a hardware load is; software runs on a
 // fault, which scans for the least stamp and hands the victim's frame,
 // buffer and all, to the incoming page.
+//
+// Elements (8 bytes each) are reached through one path, Span: the bytes
+// of a run of elements up to the end of their page, aliasing the frame,
+// for one access however many elements the caller then loads or stores
+// through it. The element accessors (Float64, Uint64 and their setters)
+// are its one-element case. A span stays valid until a later call
+// faults another page in; a fault never evicts the most recently
+// touched frame, so two spans taken back to back are both valid.
 package vm
 
 import (
@@ -107,19 +115,21 @@ func (s *Space) Stats() Stats { return s.stats }
 // ResidentPages returns the current number of resident frames.
 func (s *Space) ResidentPages() int { return len(s.frames) }
 
-// frame returns block bn's frame, faulting it in if it is not resident.
+// frame references block bn — faulting it in if it is not resident,
+// marking it dirty for a store — and returns its buffer.
 //
 //rmpvet:hotpath
-func (s *Space) frame(bn int64) (*frame, error) {
+func (s *Space) frame(bn int64, store bool) (page.Buf, error) {
 	if bn < int64(len(s.table)) && s.table[bn] != 0 {
 		f := &s.frames[s.table[bn]-1]
 		s.clock++
 		f.used = s.clock
+		f.dirty = f.dirty || store
 		if f.prefetched {
 			f.prefetched = false
 			s.stats.PrefHits++
 		}
-		return f, nil
+		return f.data, nil
 	}
 	slot, err := s.materialize(bn)
 	if err == nil && s.opts.Readahead > 0 && s.written[bn] {
@@ -128,7 +138,9 @@ func (s *Space) frame(bn int64) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &s.frames[slot], nil
+	f := &s.frames[slot]
+	f.dirty = store
+	return f.data, nil
 }
 
 // readahead follows a demand pagein of bn, into slot, that continues a
@@ -268,11 +280,11 @@ func (s *Space) Read(off int64, b []byte) error {
 	}
 	s.stats.Accesses++
 	for len(b) > 0 {
-		f, err := s.frame(off / page.Size)
+		data, err := s.frame(off/page.Size, false)
 		if err != nil {
 			return err
 		}
-		n := copy(b, f.data[off%page.Size:])
+		n := copy(b, data[off%page.Size:])
 		off += int64(n)
 		b = b[n:]
 	}
@@ -286,12 +298,11 @@ func (s *Space) Write(off int64, b []byte) error {
 	}
 	s.stats.Accesses++
 	for len(b) > 0 {
-		f, err := s.frame(off / page.Size)
+		data, err := s.frame(off/page.Size, true)
 		if err != nil {
 			return err
 		}
-		n := copy(f.data[off%page.Size:], b)
-		f.dirty = true
+		n := copy(data[off%page.Size:], b)
 		off += int64(n)
 		b = b[n:]
 	}
@@ -302,31 +313,38 @@ func (s *Space) Write(off int64, b []byte) error {
 // never straddles two pages.
 const wordsPerPage = page.Size / 8
 
-// word returns the 8 bytes of element i, counted as one access and
-// marked dirty for a store. A resident page is a table index and a
-// stamp away; a miss faults through frame, as Read and Write do.
+// Span returns the bytes of elements [i, i+m) (8-byte elements), where
+// m is n cut short at the end of element i's page or of the space. It
+// is one access: a resident page is a table index and a stamp away, a
+// miss faults through frame as Read and Write do, and a store marks the
+// frame dirty. The slice aliases the frame, so loads and stores through
+// it are plain memory operations; it stays valid until a later call
+// faults another page in. A fault never evicts the most recently
+// touched frame (residency is at least two and readahead stops two
+// short of it), so two spans taken back to back are both valid.
 //
 //rmpvet:hotpath
-func (s *Space) word(i int64, store bool) ([]byte, error) {
-	if uint64(i) >= uint64(s.size)/8 {
-		return nil, s.outside(i)
+func (s *Space) Span(i, n int64, store bool) ([]byte, error) {
+	elems := uint64(s.size) / 8
+	if n <= 0 || uint64(i) >= elems {
+		return nil, s.badSpan(i, n)
 	}
+	off := uint64(i) % wordsPerPage
+	end := min(off+uint64(n), wordsPerPage, off+elems-uint64(i))
 	s.stats.Accesses++
-	f, err := s.frame(int64(uint64(i) / wordsPerPage))
+	data, err := s.frame(int64(uint64(i)/wordsPerPage), store)
 	if err != nil {
 		return nil, err
 	}
-	f.dirty = f.dirty || store
-	off := uint64(i) % wordsPerPage * 8
-	return f.data[off : off+8], nil
+	return data[off*8 : end*8], nil
 }
 
-// outside reports an element index beyond the space, out of line so
-// word carries no fmt boxing.
+// badSpan reports a span of no elements or starting outside the space,
+// out of line so Span carries no fmt boxing.
 //
 //go:noinline
-func (s *Space) outside(i int64) error {
-	return fmt.Errorf("vm: element %d outside space of %d bytes", i, s.size)
+func (s *Space) badSpan(i, n int64) error {
+	return fmt.Errorf("vm: span of %d elements at element %d of a %d-byte space", n, i, s.size)
 }
 
 // Float64 reads the float64 at element index i (8-byte elements).
@@ -340,22 +358,22 @@ func (s *Space) SetFloat64(i int64, v float64) error {
 	return s.SetUint64(i, math.Float64bits(v))
 }
 
-// Uint64 reads the uint64 at element index i.
+// Uint64 reads the uint64 at element index i: a one-element Span.
 //
 //rmpvet:hotpath
-func (s *Space) Uint64(i int64) (uint64, error) {
-	w, err := s.word(i, false)
-	if err != nil {
-		return 0, err
+func (s *Space) Uint64(i int64) (v uint64, err error) {
+	w, err := s.Span(i, 1, false)
+	if err == nil {
+		v = binary.LittleEndian.Uint64(w)
 	}
-	return binary.LittleEndian.Uint64(w), nil
+	return v, err
 }
 
-// SetUint64 writes the uint64 at element index i.
+// SetUint64 writes the uint64 at element index i: a one-element Span.
 //
 //rmpvet:hotpath
 func (s *Space) SetUint64(i int64, v uint64) error {
-	w, err := s.word(i, true)
+	w, err := s.Span(i, 1, true)
 	if err == nil {
 		binary.LittleEndian.PutUint64(w, v)
 	}

@@ -32,6 +32,10 @@ type FrameReader struct {
 	// exact caps every Read at the end of the current frame, for
 	// DecodePooled: a one-shot decode has nowhere to keep read-ahead.
 	exact bool
+	// host is the last non-empty Host decoded. A frame whose Host bytes
+	// repeat it gets this string, not a new one: a stream of XORWRITEs
+	// names the same parity server again and again.
+	host string
 }
 
 // NewFrameReader returns a FrameReader decoding src.
@@ -41,8 +45,8 @@ func NewFrameReader(src io.Reader) *FrameReader { return &FrameReader{src: src} 
 // (and a tagged frame's request id), so a decoded frame re-encodes
 // identically. The Msg comes from the Msg pool and Data, when present,
 // aliases the pooled buffer the frame was read into, so a steady-state
-// read loop performs zero allocations per frame (control frames
-// carrying Host or Keys still allocate those two fields).
+// read loop performs zero allocations per frame (a frame carrying Keys,
+// or a Host other than the previous one, still allocates that field).
 //
 // Ownership contract: the returned Msg and everything it references —
 // in particular Data — belong to the caller until it calls Recycle(m),
@@ -95,9 +99,12 @@ func (fr *FrameReader) Next() (*Msg, error) {
 	if m.Version == Version2 {
 		m.ID = binary.BigEndian.Uint32(frame[headerLen:])
 	}
-	if err := m.parsePayload(frame[hlen:]); err != nil {
+	if err := m.parsePayload(frame[hlen:], fr.host); err != nil {
 		Recycle(m)
 		return nil, fr.fail(err)
+	}
+	if m.Host != "" {
+		fr.host = m.Host
 	}
 	switch {
 	case m.Data != nil:

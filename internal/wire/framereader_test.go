@@ -253,6 +253,59 @@ func TestFrameReaderZeroAllocs(t *testing.T) {
 	}
 }
 
+// raceDetector is set by alloc_race_test.go in -race builds.
+var raceDetector = false
+
+// TestFrameReaderZeroAllocsRepeatedHost: the home server's patch stream
+// — XORWRITEs naming their parity server, PAGEINs between them — decodes
+// through one reader with no allocation after the first frame: a Host
+// that repeats the previous one is that string again. A different Host
+// still decodes as itself.
+func TestFrameReaderZeroAllocsRepeatedHost(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector: the count is noise")
+	}
+	const parity = "10.0.0.2:7182"
+	delta := page.NewBuf()
+	delta.Fill(3)
+	xor := func(id uint32, host string) *Msg {
+		return (&Msg{Version: Version2, ID: id, Type: TXorWrite, Key: 9, ParityKey: 40, Host: host, Data: delta}).WithChecksum()
+	}
+	raw := encodeAll(t, []*Msg{xor(1, parity), {Version: Version2, ID: 2, Type: TPageIn, Key: 9}, xor(3, parity)})
+	r := bytes.NewReader(raw)
+	fr := NewFrameReader(r)
+	defer fr.Release()
+	stream := func() {
+		r.Reset(raw)
+		for i := 0; i < 3; i++ {
+			m, err := fr.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (m.Host == parity) != (m.Type == TXorWrite) || (m.Host != parity && m.Host != "") {
+				t.Fatalf("frame %d (%v) decodes Host %q", i, m.Type, m.Host)
+			}
+			Recycle(m)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		stream() // the first frame's Host, and the frame and Msg pools
+	}
+	if avg := testing.AllocsPerRun(200, stream); avg != 0 {
+		t.Fatalf("XORWRITE, PAGEIN, XORWRITE allocate %.1f objects, want 0", avg)
+	}
+
+	r.Reset(encodeAll(t, []*Msg{xor(4, "10.0.0.3:7183")}))
+	m, err := fr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Host != "10.0.0.3:7183" {
+		t.Fatalf("a new Host decodes as %q", m.Host)
+	}
+	Recycle(m)
+}
+
 // FuzzFrameReader holds the reader to the encoder: whatever messages
 // the fuzzer describes are encoded with AppendFrame, cut into reads of
 // fuzzer-chosen sizes, and must come back out of one FrameReader

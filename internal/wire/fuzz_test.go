@@ -49,7 +49,7 @@ func decodeRef(r io.Reader) (*Msg, error) {
 		Version: hdr[2],
 		ID:      id,
 	}
-	if err := m.parsePayload(p); err != nil {
+	if err := m.parsePayload(p, ""); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -418,14 +418,15 @@ func Recycle(m *Msg) {
 	page.Put(buf)
 }
 
-// parsePayload decodes the payload section p into m. The Data slice
+// parsePayload decodes the payload section p into m. A Host whose
+// bytes equal prevHost is prevHost, not a new string. The Data slice
 // is left uncapped (its capacity runs to the end of the pooled buffer
 // rather than exactly len) so an erroneous page.Put of a received Data
 // slice routes to the discard counter instead of poisoning the page
 // pool with interior memory.
 //
 //rmpvet:hotpath
-func (m *Msg) parsePayload(p []byte) error {
+func (m *Msg) parsePayload(p []byte, prevHost string) error {
 	if len(p) < 24+2 {
 		return ErrTruncated
 	}
@@ -439,10 +440,9 @@ func (m *Msg) parsePayload(p []byte) error {
 	if off+hlen+4 > len(p) {
 		return ErrTruncated
 	}
-	if hlen > 0 {
-		m.Host = string(p[off : off+hlen])
-	} else {
-		m.Host = ""
+	m.Host = prevHost
+	if host := p[off : off+hlen]; string(host) != prevHost { // compared in place, no allocation
+		m.Host = string(host)
 	}
 	off += hlen
 	nkeys := int(binary.BigEndian.Uint32(p[off:]))
